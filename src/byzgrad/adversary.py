@@ -29,13 +29,14 @@ __all__ = [
     "silence_attack",
 ]
 
-ATTACK_VARIANTS = (
-    "omniscient_linear",
-    "collusion_medoid",
-    "sign_flip",
-    "gaussian_noise",
-    "silence",
-)
+# variant -> the parameters it requires; every other parameter must be absent
+ATTACK_PARAMS = {
+    "omniscient_linear": ("target",),
+    "collusion_medoid": ("remote_magnitude", "direction"),
+    "sign_flip": ("kappa",),
+    "gaussian_noise": ("center", "spread"),
+    "silence": (),
+}
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -91,16 +92,10 @@ class AttackSpec:
     spread: float | None = None
 
     def __post_init__(self):
-        if self.variant not in ATTACK_VARIANTS:
+        if self.variant not in ATTACK_PARAMS:
             raise InvalidInput(
-                f"unknown attack variant {self.variant!r}, expected one of {ATTACK_VARIANTS}")
-        required = {
-            "omniscient_linear": ("target",),
-            "collusion_medoid": ("remote_magnitude", "direction"),
-            "sign_flip": ("kappa",),
-            "gaussian_noise": ("center", "spread"),
-            "silence": (),
-        }[self.variant]
+                f"unknown attack variant {self.variant!r}, expected one of {tuple(ATTACK_PARAMS)}")
+        required = ATTACK_PARAMS[self.variant]
         for name in ("kappa", "target", "remote_magnitude", "direction", "center", "spread"):
             value = getattr(self, name)
             if name in required:

@@ -11,7 +11,9 @@ Determinism rules used throughout (and relied on by the tests):
 
 * distances accumulate in natural component order,
 * neighbour ranking and every tie break order by (distance, worker_id),
-* score ties are resolved in favour of the smallest worker id.
+  with NaN distances ranked after every number,
+* score ties are resolved in favour of the smallest worker id, and a
+  NaN score ranks as +inf.
 """
 
 from __future__ import annotations
@@ -172,7 +174,13 @@ class RuleSpec:
         if self.kind == "linear":
             if self.weights is None:
                 raise InvalidInput("linear rule requires weights")
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            try:
+                w = np.asarray(self.weights, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInput(f"linear rule weights must be numbers: {exc}") from None
+            if w.ndim != 1:
+                raise InvalidInput(f"linear rule weights must be a flat list: got shape {w.shape}")
+            object.__setattr__(self, "weights", tuple(w.tolist()))
         elif self.weights is not None:
             raise InvalidInput(f"rule {self.kind!r} takes no weights")
         if self.kind == "multi_krum":
@@ -216,61 +224,34 @@ def _pairwise_sq_dists_raw(X: np.ndarray) -> np.ndarray:
     return out
 
 
-_SMALL_SCORING_CUTOFF = 32
-
-
 def _subset_krum_scores(dist, active, f):
-    """(row, score, neighbor_worker_ids) for each row in `active`.
+    """Krum scores and neighbour rows of the rows in `active`, an ascending list.
 
-    Neighbour count is len(active) - f - 2; ranking and score
-    accumulation both follow ascending (distance, row), which fixes every
-    tie and makes results reproducible bit for bit.  Small instances use
-    a plain tuple sort; large ones use a stable argsort with an inf
-    sentinel on the self entry plus a cumulative sum, which realises the
-    exact same order and the exact same left-to-right rounding (a worker
-    has at most f non-finite distances, so the sentinel can never rank
-    inside the first len(active) - f - 2 positions).
+    Each row ranks the other active rows by ascending (distance, row),
+    NaN last, and sums its first len(active) - f - 2 distances left to
+    right.  The diagonal is set to -inf, below any squared distance, so
+    a row always ranks itself first and is dropped.  Returns the scores
+    and the (len(active), k) array of neighbour rows.
     """
-    active_list = list(active)
-    size = len(active_list)
-    k = size - f - 2
-    if size <= _SMALL_SCORING_CUTOFF:
-        result = []
-        for i in active_list:
-            row = dist[i]
-            ranked = sorted((float(row[j]), j) for j in active_list if j != i)
-            total = 0.0
-            for value, _ in ranked[:k]:
-                total += value
-            result.append((i, total, tuple(j + 1 for _, j in ranked[:k])))
-        return result
-    full = size == dist.shape[0]
-    ids = np.asarray(active_list, dtype=np.intp)
-    result = []
-    for pos, i in enumerate(active_list):
-        vals = dist[i].copy() if full else dist[i].take(ids)
-        vals[pos] = np.inf
-        order = np.argsort(vals, kind="stable")[:k]
-        total = float(np.cumsum(vals.take(order))[-1]) if k else 0.0
-        result.append((i, total, tuple((ids.take(order) + 1).tolist())))
-    return result
+    ids = np.asarray(active, dtype=np.intp)
+    k = len(ids) - f - 2
+    sub = dist[np.ix_(ids, ids)]
+    np.fill_diagonal(sub, -np.inf)
+    order = np.argsort(sub, axis=1, kind="stable")[:, 1:k + 1]
+    scores = np.cumsum(np.take_along_axis(sub, order, axis=1), axis=1)[:, -1]
+    return scores, ids[order]
 
 
-def _argmin_by_score(triples):
+def _argmin(scores) -> int:
     # NaN scores (possible only with non-finite proposals) never win
-    # against finite ones; ties go to the smallest row index.
-    best_row, best_val = None, math.inf
-    for i, score, _ in triples:
-        val = math.inf if math.isnan(score) else score
-        if best_row is None or val < best_val:
-            best_row, best_val = i, val
-    return best_row
+    # against finite ones; ties go to the smallest position.
+    return int(np.argmin(np.where(np.isnan(scores), np.inf, scores)))
 
 
-def _to_krum_scores(triples) -> tuple[KrumScore, ...]:
+def _to_krum_scores(active, scores, neighbors) -> tuple[KrumScore, ...]:
     return tuple(
-        KrumScore(worker_id=i + 1, score=score, neighbor_ids=ids)
-        for i, score, ids in triples)
+        KrumScore(worker_id=i + 1, score=score, neighbor_ids=tuple(rows))
+        for i, score, rows in zip(active, scores.tolist(), (neighbors + 1).tolist()))
 
 
 def _select(rule: RuleSpec, X: np.ndarray, f: int, with_scores: bool = True) -> SelectionResult:
@@ -286,32 +267,20 @@ def _select(rule: RuleSpec, X: np.ndarray, f: int, with_scores: bool = True) -> 
         for i in range(X.shape[0]):
             out += rule.weights[i] * X[i]
         return SelectionResult((), out)
-    n = X.shape[0]
     dist = _pairwise_sq_dists_raw(X)
     if rule.kind == "medoid":
-        sums = [(i, float(dist[i].sum()), ()) for i in range(n)]
-        w = _argmin_by_score(sums)
+        w = _argmin(dist.sum(axis=1))
         return SelectionResult((w + 1,), X[w].copy())
-    if rule.kind == "krum":
-        triples = _subset_krum_scores(dist, range(n), f)
-        w = _argmin_by_score(triples)
-        return SelectionResult((w + 1,), X[w].copy(),
-                               _to_krum_scores(triples) if with_scores else ())
-    if rule.kind == "multi_krum":
-        active = list(range(n))
-        first = None
-        winners = []
-        for _ in range(rule.m):
-            triples = _subset_krum_scores(dist, active, f)
-            if first is None:
-                first = triples
-            w = _argmin_by_score(triples)
-            winners.append(w)
-            active.remove(w)
-        stacked = np.stack([X[i] for i in winners])
-        return SelectionResult(tuple(w + 1 for w in winners), stacked.mean(axis=0),
-                               _to_krum_scores(first) if with_scores else ())
-    raise InvalidInput(f"unknown rule kind {rule.kind!r}")
+    # krum is multi-Krum with m = 1; only the output differs
+    active = list(range(X.shape[0]))
+    winners, first = [], ()
+    for _ in range(rule.m or 1):
+        scores, neighbors = _subset_krum_scores(dist, active, f)
+        if not winners and with_scores:
+            first = _to_krum_scores(active, scores, neighbors)
+        winners.append(active.pop(_argmin(scores)))
+    out = X[winners[0]].copy() if rule.kind == "krum" else X[winners].mean(axis=0)
+    return SelectionResult(tuple(w + 1 for w in winners), out, first)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +302,12 @@ def krum_scores(inp: AggregationInput) -> list[KrumScore]:
     Requires 2f + 2 < n.  Neighbour ties are broken towards the smaller
     worker id.
     """
-    _require_krum_valid(inp.n, inp.f)
-    dist = _pairwise_sq_dists_raw(inp.matrix)
-    return list(_to_krum_scores(_subset_krum_scores(dist, range(inp.n), inp.f)))
+    return list(krum_select(inp).scores)
 
 
 def krum_select(inp: AggregationInput) -> SelectionResult:
     """Select the worker with the minimal score (smallest id on ties)."""
-    _require_krum_valid(inp.n, inp.f)
-    return _select(RuleSpec("krum"), inp.matrix, inp.f)
+    return apply_rule(RuleSpec("krum"), inp)
 
 
 def multi_krum_select(inp: AggregationInput, m: int) -> SelectionResult:
@@ -352,17 +318,12 @@ def multi_krum_select(inp: AggregationInput, m: int) -> SelectionResult:
     The result's `scores` are the first-iteration scores over all n
     workers.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise InvalidInput(f"m must be a positive integer: got {m!r}")
-    if inp.n - m <= 2 * inp.f + 2:
-        raise PreconditionViolation(
-            f"multi-krum requires n - m > 2f + 2: got n={inp.n}, f={inp.f}, m={m}")
-    return _select(RuleSpec("multi_krum", m=m), inp.matrix, inp.f)
+    return apply_rule(RuleSpec("multi_krum", m=m), inp)
 
 
 def average(inp: AggregationInput) -> np.ndarray:
     """Component-wise arithmetic mean of all proposals."""
-    return inp.matrix.mean(axis=0)
+    return apply_rule(RuleSpec("average"), inp).output
 
 
 def linear_combination(inp: AggregationInput, weights) -> np.ndarray:
@@ -370,18 +331,7 @@ def linear_combination(inp: AggregationInput, weights) -> np.ndarray:
 
     weights[k] pairs with worker id k + 1 regardless of entry order.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (inp.n,):
-        raise InvalidInput(f"expected {inp.n} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise InvalidInput("weights must be finite")
-    if np.any(w == 0.0):
-        raise InvalidInput("weights must all be non-zero")
-    X = inp.matrix
-    out = np.zeros(inp.dimension)
-    for i in range(inp.n):
-        out += w[i] * X[i]
-    return out
+    return apply_rule(RuleSpec("linear", weights=weights), inp).output
 
 
 def sq_dist_medoid_select(inp: AggregationInput) -> SelectionResult:
@@ -390,7 +340,7 @@ def sq_dist_medoid_select(inp: AggregationInput) -> SelectionResult:
     This is the known-vulnerable distance baseline: two colluding workers
     can plant the barycenter of the remaining proposals and win.
     """
-    return _select(RuleSpec("medoid"), inp.matrix, inp.f)
+    return apply_rule(RuleSpec("medoid"), inp)
 
 
 def apply_rule(rule: RuleSpec, inp: AggregationInput) -> SelectionResult:

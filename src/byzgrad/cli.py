@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .adversary import AttackSpec
+from .adversary import ATTACK_PARAMS, AttackSpec
 from .aggregation import (AggregationInput, RuleSpec, as_vector, eta, krum_select,
                           linear_combination, sq_dist_medoid_select)
 from .errors import ConfigError
@@ -112,7 +112,7 @@ def _parse_rule(spec) -> RuleSpec:
     try:
         if variant == "linear":
             _check_keys(spec, "rule", {"variant", "weights"})
-            return RuleSpec("linear", weights=tuple(float(w) for w in spec["weights"]))
+            return RuleSpec("linear", weights=spec["weights"])
         if variant == "multi_krum":
             _check_keys(spec, "rule", {"variant", "m"})
             return RuleSpec("multi_krum", m=_as_int(spec, "m", "rule"))
@@ -166,35 +166,20 @@ def _parse_estimator(obj):
     raise ConfigError(f"estimator.variant must be gaussian or minibatch: got {variant!r}")
 
 
-_ATTACK_KEYS = {
-    "omniscient_linear": {"target"},
-    "collusion_medoid": {"remote_magnitude", "direction"},
-    "sign_flip": {"kappa"},
-    "gaussian_noise": {"center", "spread"},
-    "silence": set(),
-}
+_VECTOR_PARAMS = ("target", "direction", "center")
 
 
 def _parse_attack(obj) -> AttackSpec:
-    _check_keys(obj, "attack", {"variant"},
-                {"kappa", "target", "remote_magnitude", "direction", "center", "spread"})
+    _check_keys(obj, "attack", {"variant"}, set().union(*ATTACK_PARAMS.values()))
     variant = obj.get("variant")
-    if variant not in _ATTACK_KEYS:
-        raise ConfigError(f"attack.variant must be one of {sorted(_ATTACK_KEYS)}: got {variant!r}")
-    _check_keys(obj, "attack", {"variant"} | _ATTACK_KEYS[variant])
-    kwargs = {}
+    if variant not in ATTACK_PARAMS:
+        raise ConfigError(f"attack.variant must be one of {sorted(ATTACK_PARAMS)}: got {variant!r}")
+    params = ATTACK_PARAMS[variant]
+    _check_keys(obj, "attack", {"variant", *params})
     try:
-        if variant == "omniscient_linear":
-            kwargs["target"] = _as_vec(obj, "target", "attack")
-        elif variant == "collusion_medoid":
-            kwargs["remote_magnitude"] = _as_real(obj, "remote_magnitude", "attack")
-            kwargs["direction"] = _as_vec(obj, "direction", "attack")
-        elif variant == "sign_flip":
-            kwargs["kappa"] = _as_real(obj, "kappa", "attack")
-        elif variant == "gaussian_noise":
-            kwargs["center"] = _as_vec(obj, "center", "attack")
-            kwargs["spread"] = _as_real(obj, "spread", "attack")
-        return AttackSpec(variant, **kwargs)
+        return AttackSpec(variant, **{
+            name: (_as_vec if name in _VECTOR_PARAMS else _as_real)(obj, name, "attack")
+            for name in params})
     except ConfigError:
         raise
     except ValueError as exc:
@@ -238,6 +223,9 @@ def parse_config(text: str, overrides=(), seed=None) -> ExperimentConfig:
     raw = _apply_overrides(raw, overrides, seed)
     schedule = raw["schedule"]
     _check_keys(schedule, "schedule", {"gamma0", "p"})
+    if not isinstance(raw.get("byzantine_ids", []), list):
+        raise ConfigError(f"config.byzantine_ids must be an array of integers, "
+                          f"got {raw['byzantine_ids']!r}")
     config = ExperimentConfig(
         n=_as_int(raw, "n", "config"),
         f=_as_int(raw, "f", "config"),

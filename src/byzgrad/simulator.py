@@ -68,11 +68,14 @@ class ExperimentConfig:
         d = self.cost.dimension
         if self.x0 is not None and self.x0.size != d:
             raise ConfigError(f"x0 has d={self.x0.size}, cost function expects d={d}")
+        if self.byzantine_ids is not None and any(
+                not isinstance(i, int) or isinstance(i, bool) for i in self.byzantine_ids):
+            raise ConfigError(
+                f"byzantine_ids must be integers in 1..{self.n}: got {tuple(self.byzantine_ids)}")
         ids = self.byzantine_worker_ids()
         if len(ids) != self.f or len(set(ids)) != self.f:
             raise ConfigError(f"byzantine_ids must hold exactly f={self.f} distinct ids: got {ids}")
-        if any(not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.n
-               for i in ids):
+        if any(not 1 <= i <= self.n for i in ids):
             raise ConfigError(f"byzantine_ids must be integers in 1..{self.n}: got {ids}")
         for name in ("target", "center", "direction"):
             vec = getattr(self.attack, name)

@@ -396,12 +396,14 @@ def test_krum_scores_match_brute_force_exactly():
 
 
 def test_krum_scores_large_instances_match_brute_force_exactly():
-    # instances past the vectorised-scoring cutoff take the argsort path;
-    # results must stay bit-identical to the plain loop
     rng = np.random.default_rng(47)
-    for n in (40, 65):
+    for n, integer_valued in ((40, False), (65, False), (40, True), (65, True)):
         f = int(rng.integers(1, max_valid_f(n) + 1))
-        labelled = random_labelled(rng, n, 3)
+        if integer_valued:  # few distinct values: many exactly tied distances
+            X = rng.integers(-2, 3, size=(n, 3)).astype(float)
+            labelled = [(i + 1, X[i]) for i in range(n)]
+        else:
+            labelled = random_labelled(rng, n, 3)
         inp = AggregationInput(tuple(labelled), f=f)
         want = krum_scores_brute(labelled, f)
         for ks in krum_scores(inp):
@@ -413,6 +415,30 @@ def test_krum_scores_large_instances_match_brute_force_exactly():
         got = multi_krum_select(inp, m)
         ids, mean = multi_krum_brute(labelled, f, m)
         assert list(got.selected_ids) == ids
+
+
+def test_krum_scores_overflowing_rows_never_list_self_as_neighbor():
+    # 20 of 40 rows overflow their distances to inf: more than f per worker
+    rng = np.random.default_rng(53)
+    X = rng.standard_normal((40, 3))
+    X[rng.choice(40, size=20, replace=False)] *= 1e200
+    labelled = [(i + 1, X[i]) for i in range(40)]
+    with np.errstate(over="ignore"):
+        got = krum_scores(AggregationInput.from_vectors(X, 2))
+        want = krum_scores_brute(labelled, 2)
+    assert any(math.isinf(ks.score) for ks in got)
+    for ks in got:
+        assert ks.worker_id not in ks.neighbor_ids
+        score, neighbors = want[ks.worker_id]
+        assert ks.score == score
+        assert set(ks.neighbor_ids) == neighbors
+
+
+def test_linear_rule_weights_must_be_a_flat_list_of_numbers():
+    for weights in ([[1.0]], 3.0, [1.0, [2.0]], [{"a": 1}]):
+        with pytest.raises(InvalidInput, match="linear rule weights"):
+            RuleSpec("linear", weights=weights)
+    assert RuleSpec("linear", weights=np.array([0.5, 2])).weights == (0.5, 2.0)
 
 
 def test_apply_rule_dispatch():

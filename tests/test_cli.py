@@ -153,6 +153,22 @@ def test_simulate_bad_config_exits_nonzero(tmp_path, capsys):
     assert "2f + 2 < n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    'byzantine_ids=["a",1]',
+    'byzantine_ids=3',
+    'rule={"variant":"linear","weights":[[1]]}',
+    'rule={"variant":"linear","weights":3}',
+])
+def test_simulate_malformed_override_is_an_error_line(tmp_path, capsys, override):
+    config = small_config_file(tmp_path)
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_divergence_is_a_result_not_a_failure(tmp_path, capsys):
     # a diverging run still exits 0; the flag shows up in the summary line
     config = small_config_file(
