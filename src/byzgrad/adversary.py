@@ -10,6 +10,7 @@ Byzantine vector bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,11 @@ class AttackSpec:
 
     Exactly the parameters of the chosen variant must be present:
     sign_flip needs kappa > 0, omniscient_linear a target vector,
-    collusion_medoid a remote magnitude > 0 and a unit direction,
-    gaussian_noise a center and spread >= 0, silence nothing.
+    collusion_medoid a finite remote magnitude > 0 and a unit direction,
+    gaussian_noise a center and a finite spread >= 0, silence nothing.
+    The one deliberate difference from the attack functions is that
+    `collusion_medoid_attack` also takes magnitude 0, its harmless
+    degenerate case, which a spec rejects.
     """
 
     variant: str
@@ -109,6 +113,10 @@ class AttackSpec:
             raise InvalidInput(f"remote_magnitude must be positive: got {self.remote_magnitude}")
         if self.spread is not None and self.spread < 0:
             raise InvalidInput(f"spread must be non-negative: got {self.spread}")
+        for name in ("remote_magnitude", "spread"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidInput(f"{name} must be finite: got {value}")
         if self.target is not None:
             object.__setattr__(self, "target", as_vector(self.target))
         if self.center is not None:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, PreconditionViolation
+from .errors import InvalidInput, PreconditionViolation, is_int
 
 __all__ = [
     "AggregationInput",
@@ -79,7 +79,7 @@ class AggregationInput:
     def __post_init__(self):
         if not self.entries:
             raise InvalidInput("aggregation input needs at least one proposal")
-        if not isinstance(self.f, int) or isinstance(self.f, bool) or self.f < 0:
+        if not is_int(self.f) or self.f < 0:
             raise InvalidInput(f"f must be a non-negative integer: got {self.f!r}")
         normalized = tuple((int(wid), as_vector(vec)) for wid, vec in self.entries)
         n = len(normalized)
@@ -184,7 +184,7 @@ class RuleSpec:
         elif self.weights is not None:
             raise InvalidInput(f"rule {self.kind!r} takes no weights")
         if self.kind == "multi_krum":
-            if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
+            if not is_int(self.m) or self.m < 1:
                 raise InvalidInput(f"multi_krum requires a positive integer m: got {self.m!r}")
         elif self.m is not None:
             raise InvalidInput(f"rule {self.kind!r} takes no m")
@@ -355,7 +355,7 @@ def eta(n: int, f: int) -> float:
     eta(n, f) = sqrt(2 * (n - f + (f*(n-f-2) + f^2*(n-f-1)) / (n-2f-2))),
     defined for 2f + 2 < n.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not isinstance(f, int) or isinstance(f, bool):
+    if not is_int(n) or not is_int(f):
         raise InvalidInput(f"n and f must be integers: got n={n!r}, f={f!r}")
     if f < 0:
         raise InvalidInput(f"f must be non-negative: got f={f}")
@@ -371,7 +371,7 @@ def resilience_angle(n: int, f: int, d: int, sigma: float, grad_norm: float) -> 
     raised: they mark the flat-basin regime where the bound gives no
     direction information.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+    if not is_int(d) or d < 1:
         raise InvalidInput(f"d must be a positive integer: got {d!r}")
     if sigma < 0 or not math.isfinite(sigma):
         raise InvalidInput(f"sigma must be a finite non-negative real: got {sigma}")

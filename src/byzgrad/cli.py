@@ -21,41 +21,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from operator import attrgetter
 
 import numpy as np
 
 from .adversary import ATTACK_PARAMS, AttackSpec
 from .aggregation import (AggregationInput, RuleSpec, as_vector, eta, krum_select,
                           linear_combination, sq_dist_medoid_select)
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .problems import CosineBowl, GaussianEstimator, LeastSquares, MinibatchEstimator, Quadratic
-from .resilience import ResilienceReport, estimate_resilience
-from .simulator import ExperimentConfig, ExperimentTrace, run_experiment
+from .resilience import ResilienceReport, csv_cell, estimate_resilience
+from .simulator import ExperimentConfig, ExperimentTrace, RoundRecord, run_experiment
 
 __all__ = ["emit_trace_csv", "main", "parse_config", "parse_resilience_config"]
 
-TRACE_HEADER = "t,cost,grad_norm,gamma,selected_ids,byzantine_selected,agg_to_grad_dist,x_norm"
-
-
-def _fmt(value: float) -> str:
-    # 17 significant digits: binary64 round-trips exactly.
-    return format(float(value), ".17g")
+_TRACE_COLUMNS = tuple(fld.name for fld in fields(RoundRecord))
+_trace_cells = attrgetter(*_TRACE_COLUMNS)
+TRACE_HEADER = ",".join(_TRACE_COLUMNS)
 
 
 def emit_trace_csv(trace: ExperimentTrace) -> str:
-    """Render a trace as CSV with round-trip-exact reals and LF endings."""
+    """Render a trace as CSV, one column per RoundRecord field, with LF endings."""
     lines = [TRACE_HEADER]
     for r in trace.records:
-        lines.append(",".join((
-            str(r.t),
-            _fmt(r.cost),
-            _fmt(r.grad_norm),
-            _fmt(r.gamma),
-            ";".join(str(i) for i in r.selected_ids),
-            "true" if r.byzantine_selected else "false",
-            _fmt(r.agg_to_grad_dist),
-            _fmt(r.x_norm),
-        )))
+        lines.append(",".join(map(csv_cell, _trace_cells(r))))
     return "\n".join(lines) + "\n"
 
 
@@ -75,7 +65,7 @@ def _check_keys(obj: dict, where: str, required: set[str], optional: set[str] = 
 
 def _as_int(obj, key, where):
     v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not is_int(v):
         raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
     return v
 
@@ -259,7 +249,8 @@ def parse_resilience_config(text: str, overrides=(), seed=None) -> dict:
     if "g" in raw:
         g = _as_vec(raw, "g", "config")
     else:
-        g = np.zeros(d)
+        # at least one entry whatever d is: estimate_resilience rejects a bad d by name
+        g = np.zeros(max(d, 1))
         g[0] = _as_real(raw, "grad_norm", "config")
     return dict(
         rule=_parse_rule(raw["rule"]),
@@ -291,9 +282,8 @@ def _cmd_simulate(args) -> int:
     _write(args.out, emit_trace_csv(trace))
     with np.errstate(over="ignore", invalid="ignore"):
         final_cost = config.cost.cost(trace.final_x)
-    print(f"rounds_completed={len(trace.records)} "
-          f"diverged={'true' if trace.diverged else 'false'} "
-          f"final_cost={_fmt(final_cost)}")
+    print(f"rounds_completed={len(trace.records)} diverged={csv_cell(trace.diverged)} "
+          f"final_cost={csv_cell(final_cost)}")
     return 0
 
 
@@ -305,9 +295,8 @@ def _cmd_resilience(args) -> int:
         _write(args.out, ",".join(ResilienceReport.CSV_COLUMNS) + "\n" + report.to_csv_row() + "\n")
     else:
         _write(args.out, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    print(f"condition_i_holds={'true' if report.condition_i_holds else 'false'} "
-          f"condition_ii_holds={'true' if report.condition_ii_holds else 'false'} "
-          f"inner_product={_fmt(report.inner_product)} bound_i={_fmt(report.bound_i)}")
+    print(" ".join(f"{name}={csv_cell(getattr(report, name))}" for name in
+                   ("condition_i_holds", "condition_ii_holds", "inner_product", "bound_i")))
     return 0
 
 

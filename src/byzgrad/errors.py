@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-argument test."""
+
+
+def is_int(value) -> bool:
+    """True for an `int` that is not a `bool`: what every integer argument must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class InvalidInput(ValueError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import as_vector
-from .errors import InvalidInput, InvalidSchedule, UnsupportedCombination
+from .errors import InvalidInput, InvalidSchedule, UnsupportedCombination, is_int
 
 __all__ = [
     "CosineBowl",
@@ -105,7 +105,7 @@ class CosineBowl:
         # lam = 0 keeps the pure cosine landscape, still non-negative.
         if lam < 0 or not np.isfinite(lam):
             raise InvalidInput(f"lambda must be a finite non-negative real: got {lam}")
-        if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
+        if not is_int(dimension) or dimension < 1:
             raise InvalidInput(f"dimension must be a positive integer: got {dimension!r}")
         self.lam = float(lam)
         self.dimension = dimension
@@ -140,8 +140,7 @@ class MinibatchEstimator:
     batch_size: int
 
     def __post_init__(self):
-        if not isinstance(self.batch_size, int) or isinstance(self.batch_size, bool) \
-                or self.batch_size < 1:
+        if not is_int(self.batch_size) or self.batch_size < 1:
             raise InvalidInput(f"batch_size must be a positive integer: got {self.batch_size!r}")
 
 
@@ -178,7 +177,7 @@ def estimate_gradient(costfn, x, estimator, rng: np.random.Generator) -> np.ndar
 
 def local_sigma(costfn, x, estimator, trials: int, rng: np.random.Generator) -> float:
     """Monte Carlo estimate of sigma(x), defined by d*sigma^2(x) = E||G - grad||^2."""
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 2:
+    if not is_int(trials) or trials < 2:
         raise InvalidInput(f"trials must be an integer >= 2: got {trials!r}")
     x = _check_point(costfn, x)
     g = costfn.gradient(x)
@@ -201,6 +200,6 @@ def lr_schedule(t: int, gamma0: float, p: float) -> float:
             f"sum(gamma_t^2) converges: got p={p}")
     if not gamma0 > 0 or not math.isfinite(gamma0):
         raise InvalidSchedule(f"gamma0 must be a finite positive real: got {gamma0}")
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+    if not is_int(t) or t < 0:
         raise InvalidInput(f"t must be a non-negative integer: got {t!r}")
     return gamma0 / (1.0 + t) ** p

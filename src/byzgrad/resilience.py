@@ -19,16 +19,16 @@ do not depend on any parallel execution schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .adversary import AdversaryView, AttackSpec, apply_attack, check_attack_applicable
 from .aggregation import RuleSpec, _require_krum_valid, _select, as_vector, eta, resilience_angle
-from .errors import InvalidInput
+from .errors import InvalidInput, is_int
 from .streams import SubstreamSource
 
-__all__ = ["ResilienceReport", "check_safety_radius", "estimate_resilience"]
+__all__ = ["ResilienceReport", "check_safety_radius", "csv_cell", "estimate_resilience"]
 
 _MOMENT_ORDERS = (2, 3, 4)
 
@@ -71,30 +71,10 @@ class ResilienceReport:
     standard_errors: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        d = {
-            "rule": self.rule,
-            "attack": self.attack,
-            "n": self.n,
-            "f": self.f,
-            "d": self.d,
-            "sigma": self.sigma,
-            "grad_norm": self.grad_norm,
-            "trials": self.trials,
-            "eta": self.eta,
-            "sin_alpha": self.sin_alpha,
-            "within_guarantee": self.within_guarantee,
-            "empirical_mean_F": [float(v) for v in self.empirical_mean_F],
-            "inner_product": self.inner_product,
-            "bound_i": self.bound_i,
-            "condition_i_holds": self.condition_i_holds,
-            "mean_dev_sq": self.mean_dev_sq,
-            "mean_sq_dev": self.mean_sq_dev,
-            "dev_bound": self.dev_bound,
-            "deviation_bound_holds": self.deviation_bound_holds,
-            "condition_ii_holds": self.condition_ii_holds,
-            "ratio_ceiling": self.ratio_ceiling,
-            "byzantine_selection_rate": self.byzantine_selection_rate,
-        }
+        """Flat JSON-ready dict: the fields in order, the dict fields spread into keys."""
+        d = {fld.name: getattr(self, fld.name) for fld in fields(self)
+             if fld.name not in ("moments", "moment_reference", "standard_errors")}
+        d["empirical_mean_F"] = [float(v) for v in self.empirical_mean_F]
         for r in _MOMENT_ORDERS:
             d[f"moment_{r}"] = self.moments[r]
             d[f"moment_reference_{r}"] = self.moment_reference[r]
@@ -115,17 +95,21 @@ class ResilienceReport:
 
     def to_csv_row(self) -> str:
         flat = self.to_json_dict()
+        return ",".join(csv_cell(flat[c]) for c in self.CSV_COLUMNS)
 
-        def fmt(value):
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            if value is None:
-                return ""
-            if isinstance(value, float):
-                return format(value, ".17g")
-            return str(value)
 
-        return ",".join(fmt(flat[c]) for c in self.CSV_COLUMNS)
+def csv_cell(value) -> str:
+    """One CSV cell: reals round-trip exactly, flags read true/false, ids join with ';'."""
+    if isinstance(value, float):
+        # 17 significant digits: binary64 round-trips exactly.
+        return format(value, ".17g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ";".join(map(str, value))
+    return str(value)
 
 
 def _sample_se(s1: float, s2: float, trials: int) -> float:
@@ -144,20 +128,19 @@ def estimate_resilience(rule: RuleSpec, n: int, f: int, d: int, g, sigma: float,
     angle comes from eta(n, f)) and a non-zero g.
     """
     g = as_vector(g)
-    if g.size != d:
-        raise InvalidInput(f"g has d={g.size}, expected {d}")
     grad_norm = float(np.linalg.norm(g))
     if grad_norm == 0.0:
         raise InvalidInput("g must be non-zero: condition (i) compares against ||g||^2 > 0")
-    if sigma < 0 or not math.isfinite(sigma):
-        raise InvalidInput(f"sigma must be a finite non-negative real: got {sigma}")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 2:
+    if not is_int(trials) or trials < 2:
         raise InvalidInput(f"trials must be an integer >= 2: got {trials!r}")
     if not 0 <= f < n:
         raise InvalidInput(f"f must satisfy 0 <= f < n: got n={n}, f={f}")
     rule.check_preconditions(n, f)
     check_attack_applicable(attack, f)
+    # the one check of d and sigma; g is compared with d only once d is known to be valid
     angle = resilience_angle(n, f, d, sigma, grad_norm)
+    if g.size != d:
+        raise InvalidInput(f"g has d={g.size}, expected {d}")
     eta_val = eta(n, f)
     ceiling = float(n) if ratio_ceiling is None else float(ratio_ceiling)
 

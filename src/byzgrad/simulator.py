@@ -17,7 +17,7 @@ import numpy as np
 
 from .adversary import AdversaryView, AttackSpec, apply_attack, check_attack_applicable
 from .aggregation import RuleSpec, _select, as_vector
-from .errors import ConfigError, DivergenceDetected, InvalidInput
+from .errors import ConfigError, DivergenceDetected, InvalidInput, is_int
 from .problems import (GaussianEstimator, LeastSquares, MinibatchEstimator,
                        estimate_gradient, lr_schedule)
 from .streams import SubstreamSource
@@ -50,9 +50,9 @@ class ExperimentConfig:
     byzantine_ids: tuple[int, ...] | None = None
 
     def validate(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        if not is_int(self.n) or self.n < 1:
             raise ConfigError(f"n must be a positive integer: got {self.n!r}")
-        if not isinstance(self.f, int) or isinstance(self.f, bool) or not 0 <= self.f < self.n:
+        if not is_int(self.f) or not 0 <= self.f < self.n:
             raise ConfigError(f"f must satisfy 0 <= f < n: got n={self.n}, f={self.f}")
         self.rule.check_preconditions(self.n, self.f)
         check_attack_applicable(self.attack, self.f)
@@ -60,16 +60,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"minibatch estimator requires a least_squares cost, got {self.cost.variant!r}")
         lr_schedule(0, self.gamma0, self.p)  # raises InvalidSchedule on bad gamma0/p
-        if not isinstance(self.rounds, int) or isinstance(self.rounds, bool) or self.rounds < 0:
+        if not is_int(self.rounds) or self.rounds < 0:
             raise ConfigError(f"rounds must be a non-negative integer: got {self.rounds!r}")
-        if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool) \
-                or not 0 <= self.master_seed <= _MAX_SEED:
+        if not is_int(self.master_seed) or not 0 <= self.master_seed <= _MAX_SEED:
             raise ConfigError(f"seed must be a 64-bit unsigned integer: got {self.master_seed!r}")
         d = self.cost.dimension
         if self.x0 is not None and self.x0.size != d:
             raise ConfigError(f"x0 has d={self.x0.size}, cost function expects d={d}")
-        if self.byzantine_ids is not None and any(
-                not isinstance(i, int) or isinstance(i, bool) for i in self.byzantine_ids):
+        if self.byzantine_ids is not None and not all(map(is_int, self.byzantine_ids)):
             raise ConfigError(
                 f"byzantine_ids must be integers in 1..{self.n}: got {tuple(self.byzantine_ids)}")
         ids = self.byzantine_worker_ids()

@@ -223,8 +223,12 @@ def test_attack_spec_validation():
         AttackSpec("silence", kappa=1.0)
     with pytest.raises(InvalidInput, match="kappa"):
         AttackSpec("sign_flip", kappa=-1.0)
-    with pytest.raises(InvalidInput, match="remote_magnitude"):
-        AttackSpec("collusion_medoid", remote_magnitude=0.0,
-                   direction=np.array([1.0]))
+    for magnitude in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidInput, match="remote_magnitude"):
+            AttackSpec("collusion_medoid", remote_magnitude=magnitude,
+                       direction=np.array([1.0]))
+    for spread in (-1.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(InvalidInput, match="spread"):
+            AttackSpec("gaussian_noise", center=np.zeros(2), spread=spread)
     with pytest.raises(InvalidInput, match="unknown attack"):
         AttackSpec("label_flip")

@@ -199,6 +199,20 @@ def test_resilience_end_to_end(tmp_path, capsys):
     assert len(lines) == 2 and lines[0].startswith("rule,attack,n,f,d,sigma")
 
 
+@pytest.mark.parametrize("override", ["d=0", "d=-1"])
+def test_resilience_bad_dimension_is_an_error_line(tmp_path, capsys, override):
+    doc = {"n": 9, "f": 2, "d": 3, "rule": "krum", "attack": {"variant": "silence"},
+           "sigma": 1.0, "grad_norm": 15.0, "trials": 50, "seed": 5}
+    config = tmp_path / "res.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["resilience", "--config", str(config), "--out", str(out),
+                 "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: d must be a positive integer: got {override[2:]}\n"
+    assert not out.exists()
+
+
 def test_resilience_byte_identical_reruns(tmp_path):
     doc = {"n": 7, "f": 1, "d": 4, "rule": "krum",
            "attack": {"variant": "sign_flip", "kappa": 2.0},

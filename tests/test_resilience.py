@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from byzgrad import (AttackSpec, InvalidInput, PreconditionViolation, RuleSpec,
-                     check_safety_radius, estimate_resilience, eta)
+from byzgrad import (AttackSpec, InvalidInput, PreconditionViolation, ResilienceReport,
+                     RuleSpec, check_safety_radius, estimate_resilience, eta)
 
 
 def test_exact_case_no_noise_no_byzantines():
@@ -89,6 +89,25 @@ def test_moment_report_structure():
     assert report.moment_reference[2] == pytest.approx(420.0, rel=0.05)
     assert report.condition_ii_holds
     assert report.ratio_ceiling == 7.0
+
+
+def test_report_flat_json_keys():
+    report = estimate_resilience(RuleSpec("krum"), n=7, f=2, d=2, g=np.array([5.0, 0.0]),
+                                 sigma=1.0, attack=AttackSpec("silence"), trials=10,
+                                 master_seed=2)
+    flat = report.to_json_dict()
+    assert list(flat) == [
+        "rule", "attack", "n", "f", "d", "sigma", "grad_norm", "trials", "eta",
+        "sin_alpha", "within_guarantee", "empirical_mean_F", "inner_product", "bound_i",
+        "condition_i_holds", "mean_dev_sq", "mean_sq_dev", "dev_bound",
+        "deviation_bound_holds", "condition_ii_holds", "ratio_ceiling",
+        "byzantine_selection_rate", "moment_2", "moment_reference_2", "moment_3",
+        "moment_reference_3", "moment_4", "moment_reference_4", "se_inner_product",
+        "se_mean_dev_sq", "se_mean_sq_dev", "se_moment_2", "se_moment_3", "se_moment_4",
+    ]
+    assert flat["empirical_mean_F"] == [float(v) for v in report.empirical_mean_F]
+    assert all(type(v) is float for v in flat["empirical_mean_F"])
+    assert set(ResilienceReport.CSV_COLUMNS) <= set(flat)
 
 
 def test_estimate_resilience_validation():
