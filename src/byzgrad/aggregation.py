@@ -9,7 +9,9 @@ expose the constants of the deviation guarantee that Krum satisfies.
 
 Determinism rules used throughout (and relied on by the tests):
 
-* distances accumulate in natural component order,
+* the squared distance of rows i < j is numpy's `np.add.reduce` over the
+  contiguous row of squared differences (X[j] - X[i]) ** 2 (pairwise
+  summation, so in component order only for d < 8), mirrored exactly,
 * neighbour ranking and every tie break order by (distance, worker_id),
   with NaN distances ranked after every number,
 * score ties are resolved in favour of the smallest worker id, and a
@@ -136,8 +138,9 @@ class SelectionResult:
     `selected_ids` is empty for rules that combine rather than select
     (average, linear).  For single-selection rules the output is
     bit-identical to the chosen input vector; for multi-Krum it is the
-    arithmetic mean of the selected vectors, and `scores` holds the
-    first-iteration scores over all n workers.
+    arithmetic mean of the selected vectors (the one vector itself when
+    m = 1), and `scores` holds the first-iteration scores over all n
+    workers.
     """
 
     selected_ids: tuple[int, ...]
@@ -214,29 +217,46 @@ class RuleSpec:
 # ---------------------------------------------------------------------------
 # raw kernels (row i of X holds worker i + 1; no input validation)
 
+# float64 elements in one pairwise tile (256 KB), so that a tile of
+# differences is squared and summed while it is still in a core's L2 cache
+_TILE_ELEMENTS = 1 << 15
+
+
 def _pairwise_sq_dists_raw(X: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
+    n, d = X.shape
     out = np.zeros((n, n))
-    for i in range(n - 1):
-        diff = X[i + 1:] - X[i]
-        out[i, i + 1:] = (diff * diff).sum(axis=1)
-        out[i + 1:, i] = out[i, i + 1:]  # mirror: each unordered pair computed once
-    return out
+    # a tile spans as many rows as fit beside all n columns (at least one),
+    # then as many columns as fit; tiles cover the upper triangle
+    rows = max(1, _TILE_ELEMENTS // (n * d))
+    cols = max(1, _TILE_ELEMENTS // (rows * d))
+    for i0 in range(0, n - 1, rows):
+        for j0 in range(i0, n, cols):
+            tile = X[None, j0:j0 + cols] - X[i0:i0 + rows, None]  # X[j] - X[i]
+            np.multiply(tile, tile, out=tile)
+            np.add.reduce(tile, axis=2, out=out[i0:i0 + rows, j0:j0 + cols])
+    # keep j > i only (diagonal tiles also filled j <= i); adding +0.0 is exact
+    upper = np.triu(out, 1)
+    return upper + upper.T
 
 
-def _subset_krum_scores(dist, active, f):
-    """Krum scores and neighbour rows of the rows in `active`, an ascending list.
+def _subset_krum_scores(dist, active, f, with_neighbors):
+    """Krum scores of the rows in `active`, an ascending list, and their neighbour rows.
 
     Each row ranks the other active rows by ascending (distance, row),
     NaN last, and sums its first len(active) - f - 2 distances left to
     right.  The diagonal is set to -inf, below any squared distance, so
-    a row always ranks itself first and is dropped.  Returns the scores
-    and the (len(active), k) array of neighbour rows.
+    a row always ranks itself first and is dropped.  With
+    `with_neighbors`, a stable argsort ranks the rows and the
+    (len(active), k) array of neighbour rows is returned; without it, a
+    value-only sort sums the same sequence (equal distances are equal
+    bits) and None stands for the neighbour rows.
     """
     ids = np.asarray(active, dtype=np.intp)
     k = len(ids) - f - 2
     sub = dist[np.ix_(ids, ids)]
     np.fill_diagonal(sub, -np.inf)
+    if not with_neighbors:
+        return np.cumsum(np.sort(sub, axis=1)[:, 1:k + 1], axis=1)[:, -1], None
     order = np.argsort(sub, axis=1, kind="stable")[:, 1:k + 1]
     scores = np.cumsum(np.take_along_axis(sub, order, axis=1), axis=1)[:, -1]
     return scores, ids[order]
@@ -271,15 +291,17 @@ def _select(rule: RuleSpec, X: np.ndarray, f: int, with_scores: bool = True) -> 
     if rule.kind == "medoid":
         w = _argmin(dist.sum(axis=1))
         return SelectionResult((w + 1,), X[w].copy())
-    # krum is multi-Krum with m = 1; only the output differs
+    # krum is multi-Krum with m = 1
     active = list(range(X.shape[0]))
     winners, first = [], ()
     for _ in range(rule.m or 1):
-        scores, neighbors = _subset_krum_scores(dist, active, f)
-        if not winners and with_scores:
+        audit = with_scores and not winners  # only the first iteration is reported
+        scores, neighbors = _subset_krum_scores(dist, active, f, audit)
+        if audit:
             first = _to_krum_scores(active, scores, neighbors)
         winners.append(active.pop(_argmin(scores)))
-    out = X[winners[0]].copy() if rule.kind == "krum" else X[winners].mean(axis=0)
+    # a lone winner is copied: the mean of one row would turn -0.0 into +0.0
+    out = X[winners[0]].copy() if len(winners) == 1 else X[winners].mean(axis=0)
     return SelectionResult(tuple(w + 1 for w in winners), out, first)
 
 
@@ -289,9 +311,10 @@ def _select(rule: RuleSpec, X: np.ndarray, f: int, with_scores: bool = True) -> 
 def pairwise_sq_distances(inp: AggregationInput) -> np.ndarray:
     """Symmetric n x n matrix of squared Euclidean distances.
 
-    Row/column k holds worker k + 1.  Each unordered pair is computed
-    once and mirrored, so the matrix is exactly symmetric and the
-    diagonal is exactly zero.
+    Row/column k holds worker k + 1.  Entry (i, j) with i < j is
+    `np.add.reduce((X[j] - X[i]) ** 2)` over the contiguous row of
+    squared differences; it is mirrored to (j, i), so the matrix is
+    exactly symmetric and the diagonal is +0.0.
     """
     return _pairwise_sq_dists_raw(inp.matrix)
 

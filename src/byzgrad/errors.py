@@ -35,7 +35,7 @@ class ConfigError(ValueError):
 
 
 class DivergenceDetected(RuntimeError):
-    """An SGD update produced non-finite parameter components.
+    """An SGD round produced a non-finite parameter component or metric.
 
     Expected when a non-resilient rule meets an unbounded attack; the
     simulator records it as an outcome instead of crashing.  `record`

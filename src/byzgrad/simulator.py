@@ -11,7 +11,8 @@ adversary cannot corrupt them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,6 +106,9 @@ class RoundRecord:
     x_norm: float
 
 
+_REAL_FIELDS = tuple(fld.name for fld in fields(RoundRecord) if fld.type == "float")
+
+
 @dataclass(frozen=True, eq=False)
 class RoundState:
     x: np.ndarray
@@ -115,8 +119,9 @@ class RoundState:
 class ExperimentTrace:
     """Config echo plus the per-round records.
 
-    `diverged` marks runs truncated because an update produced non-finite
-    parameters; `final_x` is then the last finite parameter vector.
+    `diverged` marks runs truncated because a round produced a non-finite
+    parameter component or metric; that round is the last record, and
+    `final_x` is the last finite parameter vector.
     """
 
     config: ExperimentConfig
@@ -133,7 +138,7 @@ def run_round(state: RoundState, config: ExperimentConfig,
     adversary stream is lane 0.  Byzantine vectors overwrite their slots
     after honest generation, so honest draws are identical across rules
     and attacks under the same seed.  Raises DivergenceDetected when the
-    update produces non-finite components.
+    update or any real of the round's record is not finite.
     """
     if state.t >= config.rounds:
         raise InvalidInput(f"round index t={state.t} is past the horizon rounds={config.rounds}")
@@ -180,6 +185,9 @@ def run_round(state: RoundState, config: ExperimentConfig,
             agg_to_grad_dist=float(np.linalg.norm(selection.output - grad)),
             x_norm=float(np.linalg.norm(x)),
         )
+    for name in _REAL_FIELDS:
+        if not math.isfinite(getattr(record, name)):
+            raise DivergenceDetected(f"non-finite {name} in round {t}", record=record, last_x=x)
     if not np.all(np.isfinite(x_next)):
         raise DivergenceDetected(
             f"non-finite parameter components after round {t}", record=record, last_x=x)

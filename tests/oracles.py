@@ -3,7 +3,9 @@
 Everything recomputes from scratch with plain Python loops.  Sort and
 accumulation orders follow the documented tie rules (ascending
 (distance, worker_id)), so results are comparable bit for bit with the
-library on small instances.
+library when d < 8.  From d = 8 on, numpy sums each squared distance
+pairwise in 8-wide blocks, and the left-to-right `sq_dist` here may
+differ from it in the last bits.
 """
 
 import math

@@ -1,22 +1,31 @@
-"""Every name the benchmark tracer hooks must exist in byzgrad.
+"""The benchmark tracer's hooks resolve in byzgrad and its counters read real calls.
 
 `bench/tracer.py` wraps byzgrad names from outside the package.  When one
 of them is renamed or removed, a traced benchmark run reports the metrics
-that depend on it as absent.  The tracer is read from its path and only
-its HOOKS table is used; nothing is installed.
+that depend on it as absent; when a hooked kernel changes the arguments
+its counter reads, the traced run fails.  The tracer is read from its
+path and executed from its text, so nothing under `bench/` is written.
 """
 
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+from byzgrad import AggregationInput, krum_select, multi_krum_select
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def test_every_tracer_hook_resolves():
+def _tracer_namespace():
     namespace = {"__name__": "bench_tracer"}
     exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), namespace)
+    return namespace
+
+
+def test_every_tracer_hook_resolves():
     missing = []
-    for module_name, path, _ in namespace["HOOKS"]:
+    for module_name, path, _ in _tracer_namespace()["HOOKS"]:
         # looked up as Tracer.install does: class attributes through the class __dict__
         owner = importlib.import_module(module_name)
         *parents, attr = path.split(".")
@@ -29,3 +38,21 @@ def test_every_tracer_hook_resolves():
             continue
         assert callable(original), f"{module_name}.{path}"
     assert missing == []
+
+
+def test_traced_krum_calls_count_every_aggregation_metric():
+    n = 40
+    inp = AggregationInput.from_vectors(np.random.default_rng(0).standard_normal((n, 300)), 2)
+    tracer = _tracer_namespace()["Tracer"]()
+    tracer.install()
+    try:
+        krum_select(inp)
+        multi_krum_select(inp, 3)
+    finally:
+        tracer.uninstall()
+    metrics = {name: value for name, value in tracer.metrics().items()
+               if name.startswith("aggregation.")}
+    assert all(isinstance(value, float) for value in metrics.values()), metrics
+    assert metrics["aggregation.calls"] == 2
+    assert metrics["aggregation.pairs"] == 2 * n * (n - 1) // 2
+    assert metrics["aggregation.scored_workers"] == n + n + (n - 1) + (n - 2)

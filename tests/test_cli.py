@@ -182,6 +182,17 @@ def test_simulate_divergence_is_a_result_not_a_failure(tmp_path, capsys):
     assert len(out.read_text(encoding="utf-8").splitlines()) >= 2
 
 
+def test_simulate_overflowing_metric_is_a_divergence(tmp_path, capsys):
+    # x stays finite, but the norm behind agg_to_grad_dist overflows in round 0
+    config = tmp_path / "config.json"
+    config.write_text(config_text(), encoding="utf-8")
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--set", "estimator.sigma=1e200"]) == 0
+    assert "rounds_completed=1 diverged=true" in capsys.readouterr().out
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
+
 def test_resilience_end_to_end(tmp_path, capsys):
     doc = {"n": 9, "f": 2, "d": 3, "rule": "krum",
            "attack": {"variant": "silence"},

@@ -1,15 +1,19 @@
 """Property tests: the Krum kernels agree with the brute-force oracles bit for bit.
 
 Instances mix exactly tied integer-valued entries, arbitrary floats and
-rows scaled by 1e200, whose distances overflow to inf.
+rows scaled by 1e200, whose distances overflow to inf.  The oracles sum
+left to right, which numpy's pairwise summation matches only for d < 8;
+wider instances are held to the distance contract and to the selection
+with scores instead.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from byzgrad import AggregationInput, krum_scores, krum_select, multi_krum_select
+from byzgrad import AggregationInput, krum_scores, krum_select, multi_krum_select, pairwise_sq_distances
+from byzgrad.aggregation import RuleSpec, _select
 
 from oracles import krum_scores_brute, krum_select_brute, max_valid_f, multi_krum_brute, sq_dist
 
@@ -18,10 +22,10 @@ FLOATS = st.floats(-1e100, 1e100, allow_nan=False)
 
 
 @st.composite
-def krum_instances(draw):
+def krum_instances(draw, max_d=4):
     n = draw(st.integers(4, 40))
     f = draw(st.integers(0, max_valid_f(n)))
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, max_d))
     X = draw(arrays(np.float64, (n, d), elements=draw(st.sampled_from([SMALL_INTEGERS, FLOATS]))))
     X[draw(st.lists(st.integers(0, n - 1), max_size=n))] *= 1e200
     m = draw(st.integers(1, n - 2 * f - 3)) if n - 2 * f - 2 > 1 else None
@@ -54,3 +58,55 @@ def test_krum_kernels_match_oracles_bit_for_bit(instance):
             ids, mean = multi_krum_brute(labelled, f, m)
             assert list(multi.selected_ids) == ids
             assert multi.output.tobytes() == np.array(mean).tobytes()
+
+
+@st.composite
+def wide_proposals(draw):
+    """n x d proposals with d >= 8, drawn from a seeded numpy generator.
+
+    Up to 70 x 300, so the shapes cross the pairwise kernel's tile edges
+    and numpy's 128-element summation blocks.
+    """
+    n = draw(st.integers(2, 70))
+    d = draw(st.integers(8, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(-2, 3, (n, d)).astype(np.float64)
+    else:
+        X = rng.standard_normal((n, d)) * 10.0 ** draw(st.integers(-5, 5))
+    X[draw(st.lists(st.integers(0, n - 1), max_size=n))] *= 1e200
+    return X
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(wide_proposals())
+@example(np.random.default_rng(0).standard_normal((130, 300)))  # rows span two column tiles
+def test_pairwise_distances_are_row_reductions_mirrored(X):
+    n = len(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = pairwise_sq_distances(AggregationInput.from_vectors(X, 0))
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert D[i, j].tobytes() == np.add.reduce((X[j] - X[i]) ** 2).tobytes(), (i, j)
+    assert D.tobytes() == D.T.tobytes()
+    diagonal = np.diagonal(D)
+    assert np.all(diagonal == 0.0) and not np.any(np.signbit(diagonal))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(krum_instances(max_d=300))
+@example((np.array([[-0.0], [0.0], [0.0], [0.0]]), 0, None))  # a lone winner keeps -0.0
+def test_selection_without_scores_is_the_audited_selection(instance):
+    X, f, _ = instance
+    n = len(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        krum = _select(RuleSpec("krum"), X, f, with_scores=True)
+        rules = [RuleSpec("krum")] + [RuleSpec("multi_krum", m=m) for m in range(1, n - 2 * f - 2)]
+        for rule in rules:
+            audited = _select(rule, X, f, with_scores=True)
+            plain = _select(rule, X, f, with_scores=False)
+            assert plain.selected_ids == audited.selected_ids, rule
+            assert plain.output.tobytes() == audited.output.tobytes(), rule
+            if rule.m == 1:
+                assert audited.selected_ids == krum.selected_ids
+                assert audited.output.tobytes() == krum.output.tobytes()
