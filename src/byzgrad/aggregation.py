@@ -222,21 +222,26 @@ class RuleSpec:
 _TILE_ELEMENTS = 1 << 15
 
 
-def _pairwise_sq_dists_raw(X: np.ndarray) -> np.ndarray:
-    n, d = X.shape
-    out = np.zeros((n, n))
+def _pairwise_sq_dists_block(Xb: np.ndarray) -> np.ndarray:
+    """(B, n, d) instances -> (B, n, n) squared distances, instance by instance."""
+    B, n, d = Xb.shape
+    out = np.zeros((B, n, n))
     # a tile spans as many rows as fit beside all n columns (at least one),
     # then as many columns as fit; tiles cover the upper triangle
-    rows = max(1, _TILE_ELEMENTS // (n * d))
-    cols = max(1, _TILE_ELEMENTS // (rows * d))
+    rows = max(1, _TILE_ELEMENTS // (B * n * d))
+    cols = max(1, _TILE_ELEMENTS // (B * rows * d))
     for i0 in range(0, n - 1, rows):
         for j0 in range(i0, n, cols):
-            tile = X[None, j0:j0 + cols] - X[i0:i0 + rows, None]  # X[j] - X[i]
+            tile = Xb[:, None, j0:j0 + cols] - Xb[:, i0:i0 + rows, None]  # X[j] - X[i]
             np.multiply(tile, tile, out=tile)
-            np.add.reduce(tile, axis=2, out=out[i0:i0 + rows, j0:j0 + cols])
+            np.add.reduce(tile, axis=3, out=out[:, i0:i0 + rows, j0:j0 + cols])
     # keep j > i only (diagonal tiles also filled j <= i); adding +0.0 is exact
     upper = np.triu(out, 1)
-    return upper + upper.T
+    return upper + upper.swapaxes(1, 2)
+
+
+def _pairwise_sq_dists_raw(X: np.ndarray) -> np.ndarray:
+    return _pairwise_sq_dists_block(X[None])[0]
 
 
 def _subset_krum_scores(dist, active, f, with_neighbors):
@@ -303,6 +308,50 @@ def _select(rule: RuleSpec, X: np.ndarray, f: int, with_scores: bool = True) -> 
     # a lone winner is copied: the mean of one row would turn -0.0 into +0.0
     out = X[winners[0]].copy() if len(winners) == 1 else X[winners].mean(axis=0)
     return SelectionResult(tuple(w + 1 for w in winners), out, first)
+
+
+def _argmin_block(scores, lost):
+    # per instance, the smallest row among those not lost whose score (NaN
+    # as +inf) is the minimum; a lost row may tie at +inf but never wins
+    key = np.where(np.isnan(scores) | lost, np.inf, scores)
+    return ((key == key.min(axis=1, keepdims=True)) & ~lost).argmax(axis=1)
+
+
+def _select_block(rule: RuleSpec, Xb: np.ndarray, f: int):
+    """Aggregate each instance of a (B, n, d) block as `_select(..., with_scores=False)` does.
+
+    Returns the selected rows, (B, m) in selection order or None for
+    average and linear, and the (B, d) outputs, bit for bit.  Krum is
+    multi-Krum with m = 1.  A winner's column becomes NaN, which sorts
+    after every distance (real NaNs included), so each row sums the same
+    prefix as over the per-instance active rows.
+    """
+    B, n, d = Xb.shape
+    if rule.kind == "average":
+        return None, Xb.mean(axis=1)
+    if rule.kind == "linear":
+        out = np.zeros((B, d))
+        for i, w in enumerate(rule.weights):
+            out += w * Xb[:, i]
+        return None, out
+    batch = np.arange(B)
+    dist = _pairwise_sq_dists_block(Xb)
+    won = np.zeros((B, n), dtype=bool)
+    if rule.kind == "medoid":
+        sel = _argmin_block(dist.sum(axis=2), won)[:, None]
+        return sel, Xb[batch, sel[:, 0]]
+    diagonal = np.arange(n)
+    dist[:, diagonal, diagonal] = -np.inf
+    sel = np.empty((B, rule.m or 1), dtype=np.intp)
+    for t in range(sel.shape[1]):
+        k = n - t - f - 2
+        scores = np.cumsum(np.sort(dist, axis=2)[:, :, 1:k + 1], axis=2)[:, :, -1]
+        sel[:, t] = w = _argmin_block(scores, won)
+        won[batch, w] = True
+        dist[batch, :, w] = np.nan
+    # a lone winner is copied: the mean of one row would turn -0.0 into +0.0
+    out = Xb[batch, sel[:, 0]] if sel.shape[1] == 1 else Xb[batch[:, None], sel].mean(axis=1)
+    return sel, out
 
 
 # ---------------------------------------------------------------------------

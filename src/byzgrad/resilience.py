@@ -12,8 +12,9 @@ All checks are statistical: point estimates carry standard errors and
 the pass/fail booleans apply a three-standard-error slack.  The bounds
 themselves concern exact expectations, so a Monte Carlo run can support
 or falsify them but never prove them; reports say which way the evidence
-points.  Trials accumulate in fixed trial order, so reported estimates
-do not depend on any parallel execution schedule.
+points.  Trials are drawn one at a time, each from its own substream,
+and aggregated in blocks; every sum runs in trial order, so neither the
+block size nor any parallel schedule changes a bit of a report.
 """
 
 from __future__ import annotations
@@ -24,13 +25,17 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adversary import AdversaryView, AttackSpec, apply_attack, check_attack_applicable
-from .aggregation import RuleSpec, _require_krum_valid, _select, as_vector, eta, resilience_angle
+from .aggregation import RuleSpec, _require_krum_valid, _select_block, as_vector, eta, resilience_angle
+from .aggregation import _select  # noqa: F401  (bound only for bench/tracer.py, which hooks it)
 from .errors import InvalidInput, is_int
 from .streams import SubstreamSource
 
 __all__ = ["ResilienceReport", "check_safety_radius", "csv_cell", "estimate_resilience"]
 
 _MOMENT_ORDERS = (2, 3, 4)
+
+# float64 elements of proposals plus distances in one block of trials
+_BLOCK_ELEMENTS = 1 << 16
 
 # integer partitions of r: candidate products E||G||^{r_1} * ... * E||G||^{r_k}
 _PARTITIONS = {
@@ -112,6 +117,12 @@ def csv_cell(value) -> str:
     return str(value)
 
 
+def _add_rows(carry: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # carry + rows[0] + rows[1] + ... left to right, in trial order:
+    # np.sum would add pairwise and change bits
+    return np.cumsum(np.concatenate((carry[None], rows)), axis=0)[-1]
+
+
 def _sample_se(s1: float, s2: float, trials: int) -> float:
     var = max(0.0, (s2 - s1 * s1 / trials) / (trials - 1))
     return math.sqrt(var / trials)
@@ -126,6 +137,12 @@ def estimate_resilience(rule: RuleSpec, n: int, f: int, d: int, g, sigma: float,
     Byzantine workers occupy the last f ids and mount `attack`, and the
     rule aggregates all n proposals.  Requires 2f + 2 < n (the reference
     angle comes from eta(n, f)) and a non-zero g.
+
+    Trials are drawn one at a time from the substream (seed, 0, trial),
+    honest block first, then the attack.  They are aggregated in blocks
+    of trials by one batched distance-and-selection kernel, and every
+    sum runs in trial order, so the block size never changes a bit.
+    numpy's overflow and invalid-value warnings are off: such a sum reads inf or NaN.
     """
     g = as_vector(g)
     grad_norm = float(np.linalg.norm(g))
@@ -147,7 +164,6 @@ def estimate_resilience(rule: RuleSpec, n: int, f: int, d: int, g, sigma: float,
     n_honest = n - f
     honest_ids = tuple(range(1, n_honest + 1))
     byz_ids = tuple(range(n_honest + 1, n + 1))
-    byz_set = set(byz_ids)
     selection_rule = rule.kind in ("krum", "multi_krum", "medoid")
     streams = SubstreamSource(master_seed)
 
@@ -157,63 +173,70 @@ def estimate_resilience(rule: RuleSpec, n: int, f: int, d: int, g, sigma: float,
     s1_dev = s2_dev = 0.0
     mom1 = {r: 0.0 for r in _MOMENT_ORDERS}
     mom2 = {r: 0.0 for r in _MOMENT_ORDERS}
-    hmom1 = {r: 0.0 for r in (1, 2, 3, 4)}
+    hmom1 = np.zeros(4)  # sums of ||G||^r, r = 1, 2, 3, 4
     byz_hits = 0
+    block = min(trials, max(1, _BLOCK_ELEMENTS // (n * (n + d))))
+    Xb = np.empty((block, n, d))
 
-    for trial in range(trials):
-        rng = streams.generator(0, trial)
-        H = g + sigma * rng.standard_normal((n_honest, d))
-        if f:
-            view = AdversaryView(round=trial, parameter_vector=np.zeros(d),
-                                 correct_vectors=tuple(zip(honest_ids, H)),
-                                 true_gradient=g, rule_descriptor=rule)
-            B = apply_attack(attack, view, byz_ids, rng=rng)
-            X = np.vstack([H, np.stack(B)])
-        else:
-            X = H
-        sel = _select(rule, X, f, with_scores=False)
-        F = sel.output
-        sum_F += F
-        sumsq_F += F * F
-        ip = float(F @ g)
-        s1_inner += ip
-        s2_inner += ip * ip
-        diff = F - g
-        dev = float(diff @ diff)
-        s1_dev += dev
-        s2_dev += dev * dev
-        norm_F = math.sqrt(float(F @ F))
-        for r in _MOMENT_ORDERS:
-            p = norm_F ** r
-            mom1[r] += p
-            mom2[r] += p * p
-        hnorm = np.sqrt((H * H).sum(axis=1))
-        acc = hnorm.copy()
-        for r in (1, 2, 3, 4):
-            hmom1[r] += float(acc.sum())
-            acc *= hnorm
-        if selection_rule and byz_set.intersection(sel.selected_ids):
-            byz_hits += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b0 in range(0, trials, block):
+            count = min(block, trials - b0)
+            for i in range(count):
+                trial = b0 + i
+                rng = streams.generator(0, trial)
+                H = g + sigma * rng.standard_normal((n_honest, d))
+                Xb[i, :n_honest] = H
+                if f:
+                    view = AdversaryView(round=trial, parameter_vector=np.zeros(d),
+                                         correct_vectors=tuple(zip(honest_ids, H)),
+                                         true_gradient=g, rule_descriptor=rule)
+                    Xb[i, n_honest:] = apply_attack(attack, view, byz_ids, rng=rng)
+            sel, Fb = _select_block(rule, Xb[:count], f)
+            sum_F = _add_rows(sum_F, Fb)
+            sumsq_F = _add_rows(sumsq_F, Fb * Fb)
+            # per-row 1-D dots and Python pow: batched forms round differently
+            for F, diff in zip(Fb, Fb - g):
+                ip = float(F @ g)
+                s1_inner += ip
+                s2_inner += ip * ip
+                dev = float(diff @ diff)
+                s1_dev += dev
+                s2_dev += dev * dev
+                norm_F = math.sqrt(float(F @ F))
+                for r in _MOMENT_ORDERS:
+                    p = norm_F ** r
+                    mom1[r] += p
+                    mom2[r] += p * p
+            Hb = Xb[:count, :n_honest]
+            hnorm = np.sqrt((Hb * Hb).sum(axis=2))
+            acc = hnorm.copy()
+            hsums = np.empty((count, 4))
+            for r in range(4):
+                hsums[:, r] = acc.sum(axis=1)
+                acc *= hnorm
+            hmom1 = _add_rows(hmom1, hsums)
+            if selection_rule:
+                byz_hits += int(np.count_nonzero((sel >= n_honest).any(axis=1)))
 
-    mean_F = sum_F / trials
-    inner = float(mean_F @ g)
-    se_inner = _sample_se(s1_inner, s2_inner, trials)
-    bound_i = (1.0 - angle.sin_alpha) * grad_norm * grad_norm
-    condition_i = inner - 3.0 * se_inner >= bound_i
+        mean_F = sum_F / trials
+        inner = float(mean_F @ g)
+        se_inner = _sample_se(s1_inner, s2_inner, trials)
+        bound_i = (1.0 - angle.sin_alpha) * grad_norm * grad_norm
+        condition_i = inner - 3.0 * se_inner >= bound_i
 
-    mean_sq_dev = s1_dev / trials
-    se_mean_sq_dev = _sample_se(s1_dev, s2_dev, trials)
-    dev = mean_F - g
-    mean_dev_sq = float(dev @ dev)
-    var_F = np.maximum(0.0, (sumsq_F - sum_F * sum_F / trials) / (trials - 1))
-    # delta method: Var(||m - g||^2) ~ 4 * sum_k (m - g)_k^2 Var(m_k)
-    se_mean_dev_sq = 2.0 * math.sqrt(float((dev * dev * var_F).sum() / trials))
+        mean_sq_dev = s1_dev / trials
+        se_mean_sq_dev = _sample_se(s1_dev, s2_dev, trials)
+        dev = mean_F - g
+        mean_dev_sq = float(dev @ dev)
+        var_F = np.maximum(0.0, (sumsq_F - sum_F * sum_F / trials) / (trials - 1))
+        # delta method: Var(||m - g||^2) ~ 4 * sum_k (m - g)_k^2 Var(m_k)
+        se_mean_dev_sq = 2.0 * math.sqrt(float((dev * dev * var_F).sum() / trials))
     dev_bound = eta_val * eta_val * d * sigma * sigma
     deviation_holds = mean_dev_sq + 3.0 * se_mean_dev_sq <= dev_bound
 
     moments = {r: mom1[r] / trials for r in _MOMENT_ORDERS}
     honest_samples = n_honest * trials
-    hmean = {r: hmom1[r] / honest_samples for r in (1, 2, 3, 4)}
+    hmean = {r: s / honest_samples for r, s in zip((1, 2, 3, 4), hmom1.tolist())}
     reference = {r: n_honest * hmean[r] for r in _MOMENT_ORDERS}
     condition_ii = True
     for r in _MOMENT_ORDERS:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from byzgrad import AggregationInput, krum_select, multi_krum_select
+from byzgrad import AggregationInput, AttackSpec, RuleSpec, krum_select, multi_krum_select, resilience
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -56,3 +56,22 @@ def test_traced_krum_calls_count_every_aggregation_metric():
     assert metrics["aggregation.calls"] == 2
     assert metrics["aggregation.pairs"] == 2 * n * (n - 1) // 2
     assert metrics["aggregation.scored_workers"] == n + n + (n - 1) + (n - 2)
+
+
+def test_traced_resilience_call_counts_every_trial():
+    trials = 30
+    tracer = _tracer_namespace()["Tracer"]()
+    tracer.install()
+    try:
+        # looked up through the module, as callers do, so the hooked name is called
+        resilience.estimate_resilience(
+            RuleSpec("multi_krum", m=2), n=11, f=3, d=5, g=[3.0, 0.0, -1.0, 2.0, 1.0], sigma=1.0,
+            attack=AttackSpec("gaussian_noise", center=[0.0] * 5, spread=1.0),
+            trials=trials, master_seed=4)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert all(isinstance(value, float) for value in metrics.values()), metrics
+    assert metrics["resilience.trials"] == trials
+    assert metrics["adversary.calls"] == trials
+    assert metrics["streams.resets"] == trials

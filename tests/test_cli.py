@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +224,20 @@ def test_resilience_bad_dimension_is_an_error_line(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert err == f"error: d must be a positive integer: got {override[2:]}\n"
     assert not out.exists()
+
+
+def test_resilience_overflowing_noise_is_reported_without_warnings(tmp_path, capsys):
+    doc = {"n": 9, "f": 2, "d": 3, "rule": "krum", "attack": {"variant": "silence"},
+           "sigma": 1.0, "grad_norm": 15.0, "trials": 200, "seed": 5}
+    config = tmp_path / "res.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would end the run
+        assert main(["resilience", "--config", str(config), "--out", str(out),
+                     "--set", "sigma=1e200"]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text(encoding="utf-8"))["mean_sq_dev"] == math.inf
 
 
 def test_resilience_byte_identical_reruns(tmp_path):

@@ -4,7 +4,8 @@ Instances mix exactly tied integer-valued entries, arbitrary floats and
 rows scaled by 1e200, whose distances overflow to inf.  The oracles sum
 left to right, which numpy's pairwise summation matches only for d < 8;
 wider instances are held to the distance contract and to the selection
-with scores instead.
+with scores instead.  The block kernel that aggregates many instances
+at once is held to the per-instance selection, bit for bit.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from byzgrad import AggregationInput, krum_scores, krum_select, multi_krum_select, pairwise_sq_distances
-from byzgrad.aggregation import RuleSpec, _select
+from byzgrad.aggregation import RuleSpec, _select, _select_block
 
 from oracles import krum_scores_brute, krum_select_brute, max_valid_f, multi_krum_brute, sq_dist
 
@@ -110,3 +111,39 @@ def test_selection_without_scores_is_the_audited_selection(instance):
             if rule.m == 1:
                 assert audited.selected_ids == krum.selected_ids
                 assert audited.output.tobytes() == krum.output.tobytes()
+
+
+@st.composite
+def instance_blocks(draw):
+    """(B, n, d) blocks of 1-8 instances sharing n, d and f, with ties, duplicates and 1e200 rows."""
+    B = draw(st.integers(1, 8))
+    n = draw(st.integers(4, 20))
+    f = draw(st.integers(0, max_valid_f(n)))
+    d = draw(st.integers(1, 9))
+    Xb = draw(arrays(np.float64, (B, n, d), elements=draw(st.sampled_from([SMALL_INTEGERS, FLOATS]))))
+    for rows in draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=n), max_size=3)):
+        Xb[:, rows] = Xb[:, rows[:1]]  # duplicated rows
+    Xb.reshape(B * n, d)[draw(st.lists(st.integers(0, B * n - 1), max_size=B * n))] *= 1e200
+    return Xb, f
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(instance_blocks())
+# every distance overflows, so after the first pick every remaining score is inf
+# and the winner, at a smaller index, must still lose
+@example((np.arange(1.0, 31.0).reshape(2, 5, 3) * 1e200, 0))
+def test_block_selection_is_the_per_instance_selection(block):
+    Xb, f = block
+    n = Xb.shape[1]
+    rules = [RuleSpec("average"), RuleSpec("linear", weights=[(-1.0) ** i * (i + 1) for i in range(n)]),
+             RuleSpec("medoid"), RuleSpec("krum")]
+    rules += [RuleSpec("multi_krum", m=m) for m in range(1, n - 2 * f - 2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rule in rules:
+            sel, out = _select_block(rule, Xb, f)
+            assert out.shape == (len(Xb), Xb.shape[2])
+            for b, X in enumerate(Xb):
+                want = _select(rule, X, f, with_scores=False)
+                ids = () if sel is None else tuple(int(w) + 1 for w in sel[b])
+                assert ids == want.selected_ids, (rule, b)
+                assert out[b].tobytes() == want.output.tobytes(), (rule, b)

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from byzgrad import resilience
 from byzgrad import (AttackSpec, InvalidInput, PreconditionViolation, ResilienceReport,
                      RuleSpec, check_safety_radius, estimate_resilience, eta)
 
@@ -108,6 +110,24 @@ def test_report_flat_json_keys():
     assert flat["empirical_mean_F"] == [float(v) for v in report.empirical_mean_F]
     assert all(type(v) is float for v in flat["empirical_mean_F"])
     assert set(ResilienceReport.CSV_COLUMNS) <= set(flat)
+
+
+@pytest.mark.parametrize("attack", [AttackSpec("sign_flip", kappa=2.0),
+                                    AttackSpec("gaussian_noise", center=[-5.0, 0.0, 1.0], spread=2.0)])
+@pytest.mark.parametrize("rule", [RuleSpec("krum"), RuleSpec("multi_krum", m=2),
+                                  RuleSpec("medoid"), RuleSpec("average")])
+def test_report_does_not_depend_on_the_block_size(monkeypatch, rule, attack):
+    # gaussian_noise draws its proposals after the honest block, from the same stream
+    n, f, d, trials = 9, 2, 3, 23
+    def report_bytes():
+        report = estimate_resilience(rule, n=n, f=f, d=d, g=[4.0, -1.0, 2.0], sigma=1.5,
+                                     attack=attack, trials=trials, master_seed=17)
+        return json.dumps(report.to_json_dict(), sort_keys=True).encode()
+
+    default = report_bytes()
+    for trials_per_block in (1, 2, 7):  # 1 is the per-trial computation
+        monkeypatch.setattr(resilience, "_BLOCK_ELEMENTS", trials_per_block * n * (n + d))
+        assert report_bytes() == default, trials_per_block
 
 
 def test_estimate_resilience_validation():
