@@ -11,7 +11,7 @@ Byzantine vector bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,24 +52,38 @@ class AdversaryView:
     true_gradient: np.ndarray | None = None
     rule_descriptor: RuleSpec | None = None
     gamma: float | None = None
+    # the honest matrix of a view made by `_of_matrix` (internal)
+    _matrix: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         if not self.correct_vectors:
             raise InvalidView("adversary view needs at least one honest proposal")
         d = self.parameter_vector.size
-        for wid, vec in self.correct_vectors:
-            if vec.size != d:
-                raise InvalidView(
-                    f"honest proposal of worker {wid} has d={vec.size}, expected {d}")
+        if self._matrix is not None:
+            if self._matrix.shape[1] != d:
+                raise InvalidView(f"honest proposals have d={self._matrix.shape[1]}, expected {d}")
+        else:
+            for wid, vec in self.correct_vectors:
+                if vec.size != d:
+                    raise InvalidView(
+                        f"honest proposal of worker {wid} has d={vec.size}, expected {d}")
         if self.true_gradient is not None and self.true_gradient.size != d:
             raise InvalidView("true gradient dimension differs from the parameter vector")
+
+    @classmethod
+    def _of_matrix(cls, honest_ids, H, **context) -> "AdversaryView":
+        """The view of the honest (len(honest_ids), d) matrix H, row k holding
+        worker honest_ids[k], ascending; `correct_matrix()` is H itself."""
+        return cls(correct_vectors=tuple(zip(honest_ids, H)), _matrix=H, **context)
 
     @property
     def dimension(self) -> int:
         return self.parameter_vector.size
 
     def correct_matrix(self) -> np.ndarray:
-        """Honest proposals stacked in ascending worker-id order."""
+        """Honest proposals stacked in ascending worker-id order; do not modify it."""
+        if self._matrix is not None:
+            return self._matrix
         ordered = sorted(self.correct_vectors, key=lambda e: e[0])
         return np.stack([vec for _, vec in ordered])
 

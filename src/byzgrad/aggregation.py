@@ -235,9 +235,14 @@ def _pairwise_sq_dists_block(Xb: np.ndarray) -> np.ndarray:
             tile = Xb[:, None, j0:j0 + cols] - Xb[:, i0:i0 + rows, None]  # X[j] - X[i]
             np.multiply(tile, tile, out=tile)
             np.add.reduce(tile, axis=3, out=out[:, i0:i0 + rows, j0:j0 + cols])
-    # keep j > i only (diagonal tiles also filled j <= i); adding +0.0 is exact
-    upper = np.triu(out, 1)
-    return upper + upper.swapaxes(1, 2)
+    # tiles that straddle the diagonal also filled entries j < i, from
+    # X[i] - X[j], the exact negation: the same bits as their mirror
+    if rows < n or cols < n:
+        # mirror the rest; an entry j < i holds its mirror or the +0.0 it
+        # started at, and no squared distance is below +0.0
+        out = np.maximum(out, out.swapaxes(1, 2))
+    out.reshape(B, n * n)[:, ::n + 1] = 0.0  # an inf row gave inf - inf = NaN
+    return out
 
 
 def _pairwise_sq_dists_raw(X: np.ndarray) -> np.ndarray:
@@ -258,7 +263,7 @@ def _subset_krum_scores(dist, active, f, with_neighbors):
     """
     ids = np.asarray(active, dtype=np.intp)
     k = len(ids) - f - 2
-    sub = dist[np.ix_(ids, ids)]
+    sub = dist.copy() if len(ids) == len(dist) else dist[np.ix_(ids, ids)]
     np.fill_diagonal(sub, -np.inf)
     if not with_neighbors:
         return np.cumsum(np.sort(sub, axis=1)[:, 1:k + 1], axis=1)[:, -1], None
@@ -362,8 +367,8 @@ def pairwise_sq_distances(inp: AggregationInput) -> np.ndarray:
 
     Row/column k holds worker k + 1.  Entry (i, j) with i < j is
     `np.add.reduce((X[j] - X[i]) ** 2)` over the contiguous row of
-    squared differences; it is mirrored to (j, i), so the matrix is
-    exactly symmetric and the diagonal is +0.0.
+    squared differences; (j, i) holds the same bits, so the matrix is
+    exactly symmetric, and the diagonal is +0.0.
     """
     return _pairwise_sq_dists_raw(inp.matrix)
 

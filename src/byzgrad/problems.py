@@ -85,10 +85,16 @@ class LeastSquares:
         return (self.design.T @ r) / self.n_rows
 
     def row_gradient_mean(self, rows, x):
-        """Mean of the per-row gradients a_j (a_j . x - b_j) over `rows`."""
+        """Per row of the (k, b) index array `rows`, the mean of the gradients
+        a_j (a_j . x - b_j) over the b design rows j it lists: a (k, d) array.
+
+        One gather and two stacked matrix-vector products; each stack entry
+        is the same BLAS call as for that one row alone, so the rows do not
+        depend on k, bit for bit.
+        """
         A = self.design[rows]
         r = A @ x - self.targets[rows]
-        return (A.T @ r) / len(rows)
+        return (r[:, None] @ A)[:, 0] / rows.shape[1]
 
 
 class CosineBowl:
@@ -163,14 +169,29 @@ def true_gradient(costfn, x) -> np.ndarray:
 
 def estimate_gradient(costfn, x, estimator, rng: np.random.Generator) -> np.ndarray:
     """One unbiased draw of the noisy gradient estimator at x."""
-    x = _check_point(costfn, x)
+    return _estimate_rows(costfn, _check_point(costfn, x), estimator, (rng,), 1)[0]
+
+
+def _estimate_rows(costfn, x, estimator, rngs, count, grad=None) -> np.ndarray:
+    """`count` draws of the estimator at a checked x as a (count, d) array.
+
+    Row k draws from the k-th generator of `rngs`, which is taken only
+    after row k - 1 is drawn, so a lazy sequence of resets of one
+    `SubstreamSource` works; each row equals `estimate_gradient` with its
+    generator, bit for bit.  `grad`, when given, is costfn.gradient(x).
+    """
     if isinstance(estimator, GaussianEstimator):
-        return costfn.gradient(x) + estimator.sigma * rng.standard_normal(x.size)
+        Z = np.empty((count, x.size))
+        for row, rng in zip(Z, rngs):
+            rng.standard_normal(out=row)
+        return (costfn.gradient(x) if grad is None else grad) + estimator.sigma * Z
     if isinstance(estimator, MinibatchEstimator):
         if not isinstance(costfn, LeastSquares):
             raise UnsupportedCombination(
                 f"minibatch estimation is defined only for least_squares costs, got {costfn.variant!r}")
-        rows = rng.integers(0, costfn.n_rows, size=estimator.batch_size)
+        rows = np.empty((count, estimator.batch_size), dtype=np.int64)
+        for row, rng in zip(rows, rngs):
+            row[:] = rng.integers(0, costfn.n_rows, size=estimator.batch_size)
         return costfn.row_gradient_mean(rows, x)
     raise InvalidInput(f"unknown estimator {estimator!r}")
 

@@ -187,9 +187,9 @@ def estimate_resilience(rule: RuleSpec, n: int, f: int, d: int, g, sigma: float,
                 H = g + sigma * rng.standard_normal((n_honest, d))
                 Xb[i, :n_honest] = H
                 if f:
-                    view = AdversaryView(round=trial, parameter_vector=np.zeros(d),
-                                         correct_vectors=tuple(zip(honest_ids, H)),
-                                         true_gradient=g, rule_descriptor=rule)
+                    view = AdversaryView._of_matrix(honest_ids, H, round=trial,
+                                                    parameter_vector=np.zeros(d),
+                                                    true_gradient=g, rule_descriptor=rule)
                     Xb[i, n_honest:] = apply_attack(attack, view, byz_ids, rng=rng)
             sel, Fb = _select_block(rule, Xb[:count], f)
             sum_F = _add_rows(sum_F, Fb)
@@ -204,7 +204,10 @@ def estimate_resilience(rule: RuleSpec, n: int, f: int, d: int, g, sigma: float,
                 s2_dev += dev * dev
                 norm_F = math.sqrt(float(F @ F))
                 for r in _MOMENT_ORDERS:
-                    p = norm_F ** r
+                    try:
+                        p = norm_F ** r
+                    except OverflowError:  # Python pow raises where numpy gives inf
+                        p = math.inf
                     mom1[r] += p
                     mom2[r] += p * p
             Hb = Xb[:count, :n_honest]

@@ -1,9 +1,10 @@
 """Synchronous parameter-server round loop.
 
-Each round the server broadcasts x_t, the honest workers draw noisy
-gradient estimates from their per-(worker, round) substreams, the
-adversary sees everything and fills the Byzantine slots, the choice
-function aggregates all n proposals, and the server applies
+Each round the server broadcasts x_t; the honest workers draw noisy
+gradient estimates from their per-(worker, round) substreams, worker by
+worker, into one block of rows; the adversary sees everything and fills
+the Byzantine rows of the same proposal matrix; the choice function
+aggregates all n rows, and the server applies
 x_{t+1} = x_t - gamma_t * F.  Metrics recorded per round use the true
 gradient computed by the server itself, never worker proposals, so the
 adversary cannot corrupt them.
@@ -19,8 +20,8 @@ import numpy as np
 from .adversary import AdversaryView, AttackSpec, apply_attack, check_attack_applicable
 from .aggregation import RuleSpec, _select, as_vector
 from .errors import ConfigError, DivergenceDetected, InvalidInput, is_int
-from .problems import (GaussianEstimator, LeastSquares, MinibatchEstimator,
-                       estimate_gradient, lr_schedule)
+from .problems import LeastSquares, MinibatchEstimator, _estimate_rows, lr_schedule
+from .problems import estimate_gradient  # noqa: F401  (bound only for bench/tracer.py, which hooks it)
 from .streams import SubstreamSource
 
 __all__ = ["ExperimentConfig", "ExperimentTrace", "RoundRecord", "RoundState",
@@ -134,11 +135,14 @@ def run_round(state: RoundState, config: ExperimentConfig,
               _streams: SubstreamSource | None = None) -> tuple[RoundState, RoundRecord]:
     """Advance one synchronous round.
 
-    Honest worker i draws from substream (master_seed, i, t); the
-    adversary stream is lane 0.  Byzantine vectors overwrite their slots
-    after honest generation, so honest draws are identical across rules
-    and attacks under the same seed.  Raises DivergenceDetected when the
-    update or any real of the round's record is not finite.
+    Honest worker i draws from substream (master_seed, i, t), worker by
+    worker in id order, and the draws are combined as one block, bit for
+    bit as if each were drawn alone; the adversary stream is lane 0.  The
+    n proposals fill one matrix, row i - 1 holding worker i.  Byzantine
+    rows are written after the honest draws, so honest draws are
+    identical across rules and attacks under the same seed.  Raises
+    DivergenceDetected when the update or any real of the round's record
+    is not finite.
     """
     if state.t >= config.rounds:
         raise InvalidInput(f"round index t={state.t} is past the horizon rounds={config.rounds}")
@@ -149,46 +153,40 @@ def run_round(state: RoundState, config: ExperimentConfig,
     n, f = config.n, config.f
     byz_ids = config.byzantine_worker_ids()
     byz_set = set(byz_ids)
+    honest_ids = [wid for wid in range(1, n + 1) if wid not in byz_set]
 
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = lr_schedule(t, config.gamma0, config.p)
         grad = config.cost.gradient(x)
-        if isinstance(config.estimator, GaussianEstimator):
-            # same bits as estimate_gradient, reusing the gradient above
-            sigma = config.estimator.sigma
-            d = x.size
-            honest = tuple(
-                (wid, grad + sigma * _streams.generator(wid, t).standard_normal(d))
-                for wid in range(1, n + 1) if wid not in byz_set)
-        else:
-            honest = tuple(
-                (wid, estimate_gradient(config.cost, x, config.estimator,
-                                        _streams.generator(wid, t)))
-                for wid in range(1, n + 1) if wid not in byz_set)
-        proposals = dict(honest)
+        H = _estimate_rows(config.cost, x, config.estimator,
+                           (_streams.generator(wid, t) for wid in honest_ids), n - f, grad)
+        X = np.empty((n, x.size))
+        X[np.subtract(honest_ids, 1)] = H
         if f:
-            view = AdversaryView(round=t, parameter_vector=x, correct_vectors=honest,
-                                 true_gradient=grad, rule_descriptor=config.rule, gamma=gamma)
+            view = AdversaryView._of_matrix(honest_ids, H, round=t, parameter_vector=x,
+                                            true_gradient=grad, rule_descriptor=config.rule,
+                                            gamma=gamma)
             for wid, vec in zip(byz_ids, apply_attack(config.attack, view, byz_ids,
                                                       rng=_streams.generator(0, t))):
-                proposals[wid] = vec
-        X = np.stack([proposals[wid] for wid in range(1, n + 1)])
+                X[wid - 1] = vec
         selection = _select(config.rule, X, f, with_scores=False)
         x_next = x - gamma * selection.output
+        miss = selection.output - grad
+        # the bits of np.linalg.norm on a 1-D float64 vector
         record = RoundRecord(
             t=t,
             cost=config.cost.cost(x),
-            grad_norm=float(np.linalg.norm(grad)),
+            grad_norm=math.sqrt(float(grad @ grad)),
             gamma=gamma,
             selected_ids=selection.selected_ids,
             byzantine_selected=bool(byz_set.intersection(selection.selected_ids)),
-            agg_to_grad_dist=float(np.linalg.norm(selection.output - grad)),
-            x_norm=float(np.linalg.norm(x)),
+            agg_to_grad_dist=math.sqrt(float(miss @ miss)),
+            x_norm=math.sqrt(float(x @ x)),
         )
     for name in _REAL_FIELDS:
         if not math.isfinite(getattr(record, name)):
             raise DivergenceDetected(f"non-finite {name} in round {t}", record=record, last_x=x)
-    if not np.all(np.isfinite(x_next)):
+    if not np.isfinite(x_next).all():
         raise DivergenceDetected(
             f"non-finite parameter components after round {t}", record=record, last_x=x)
     return RoundState(x=x_next, t=t + 1), record

@@ -13,6 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from byzgrad import (AdversaryView, AggregationInput, apply_attack, apply_rule, cost,
+                     estimate_gradient, lr_schedule, substream, true_gradient)
+
 
 def sq_dist(u, v):
     total = 0.0
@@ -128,3 +131,44 @@ def safety_radius_instance(rng, n, f, d, delta, margin=1.05):
     byz_ids = set(range(n_correct + 1, n + 1))
     r_actual = min(math.sqrt(sq_dist(b, c)) for b in byz for c in correct)
     return labelled, byz_ids, delta_actual, r_actual
+
+
+def run_experiment_per_worker(config):
+    """The simulator's rounds, drawn, attacked and aggregated worker by worker.
+
+    Each honest worker i calls `estimate_gradient` with a fresh substream
+    (seed, i, t), the adversary sees the honest proposals as
+    `correct_vectors` and draws from (seed, 0, t), and the rule runs
+    through `apply_rule` on the labelled proposals; the norms are
+    `np.linalg.norm`.  Returns (records, final_x, diverged), each record
+    a tuple in `RoundRecord` field order.  Every proposal must be finite.
+    """
+    x = config.initial_x()
+    byz_ids = config.byzantine_worker_ids()
+    records = []
+    for t in range(config.rounds):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = lr_schedule(t, config.gamma0, config.p)
+            grad = true_gradient(config.cost, x)
+            honest = tuple(
+                (wid, estimate_gradient(config.cost, x, config.estimator,
+                                        substream(config.master_seed, wid, t)))
+                for wid in range(1, config.n + 1) if wid not in byz_ids)
+            proposals = list(honest)
+            if config.f:
+                view = AdversaryView(round=t, parameter_vector=x, correct_vectors=honest,
+                                     true_gradient=grad, rule_descriptor=config.rule,
+                                     gamma=gamma)
+                proposals += zip(byz_ids, apply_attack(config.attack, view, byz_ids,
+                                                       rng=substream(config.master_seed, 0, t)))
+            selection = apply_rule(config.rule, AggregationInput(tuple(proposals), config.f))
+            x_next = x - gamma * selection.output
+            record = (t, cost(config.cost, x), float(np.linalg.norm(grad)), gamma,
+                      selection.selected_ids, bool(set(byz_ids) & set(selection.selected_ids)),
+                      float(np.linalg.norm(selection.output - grad)), float(np.linalg.norm(x)))
+        records.append(record)
+        reals = (record[1], record[2], record[3], record[6], record[7])
+        if not all(map(math.isfinite, reals)) or not np.all(np.isfinite(x_next)):
+            return records, x, True
+        x = x_next
+    return records, x, False

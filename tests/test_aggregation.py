@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from byzgrad import aggregation
 from byzgrad import (AggregationInput, InvalidInput, PreconditionViolation, RuleSpec,
                      apply_rule, average, eta, krum_scores, krum_select,
                      linear_combination, multi_krum_select, pairwise_sq_distances,
@@ -53,6 +54,19 @@ def test_pairwise_exact_symmetry_and_zero_diagonal():
         mat = pairwise_sq_distances(inp)
         assert np.array_equal(mat, mat.T)
         assert np.array_equal(np.diag(mat), np.zeros(n))
+
+
+@pytest.mark.parametrize("tile_elements", [1, 1 << 15])
+def test_pairwise_diagonal_stays_positive_zero_for_non_finite_rows(monkeypatch, tile_elements):
+    # the simulator aggregates rows it does not validate: an inf row gives
+    # inf - inf = NaN against itself, in one tile or in many
+    monkeypatch.setattr(aggregation, "_TILE_ELEMENTS", tile_elements)
+    X = np.array([[np.inf, 0.0], [1.0, np.nan], [2.0, 3.0], [-np.inf, 1.0]])
+    with np.errstate(invalid="ignore"):
+        D = aggregation._pairwise_sq_dists_raw(X)
+    assert np.diagonal(D).tobytes() == np.zeros(4).tobytes()
+    assert np.array_equal(np.isnan(D), np.isnan(D).T)
+    assert D[0, 2] == D[2, 0] == np.inf and D[2, 3] == D[3, 2] == np.inf
 
 
 def test_dimension_mismatch_rejected():

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from byzgrad import AggregationInput, AttackSpec, RuleSpec, krum_select, multi_krum_select, resilience
+from byzgrad import (AggregationInput, AttackSpec, ExperimentConfig, GaussianEstimator, LeastSquares,
+                     MinibatchEstimator, Quadratic, RuleSpec, krum_select, multi_krum_select,
+                     resilience, run_experiment)
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -75,3 +77,28 @@ def test_traced_resilience_call_counts_every_trial():
     assert metrics["resilience.trials"] == trials
     assert metrics["adversary.calls"] == trials
     assert metrics["streams.resets"] == trials
+
+
+def test_traced_simulator_runs_count_every_round_and_reset():
+    n, f, d, rounds = 9, 2, 4, 7
+    rng = np.random.default_rng(3)
+    costs = ((Quadratic(np.zeros(d)), GaussianEstimator(0.5)),
+             (LeastSquares(rng.standard_normal((20, d)), rng.standard_normal(20)),
+              MinibatchEstimator(3)))
+    for costfn, estimator in costs:
+        config = ExperimentConfig(
+            n=n, f=f, rule=RuleSpec("krum"), cost=costfn, estimator=estimator,
+            attack=AttackSpec("sign_flip", kappa=2.0), gamma0=0.1, p=1.0, rounds=rounds,
+            master_seed=5, x0=np.ones(d))
+        tracer = _tracer_namespace()["Tracer"]()
+        tracer.install()
+        try:
+            trace = run_experiment(config)
+        finally:
+            tracer.uninstall()
+        assert len(trace.records) == rounds and not trace.diverged
+        metrics = tracer.metrics()
+        assert all(isinstance(value, float) for value in metrics.values()), metrics
+        assert metrics["simulator.rounds"] == rounds
+        # the n - f honest workers and the adversary each reset a substream per round
+        assert metrics["streams.resets"] == rounds * (n - f + 1)

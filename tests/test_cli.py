@@ -240,6 +240,21 @@ def test_resilience_overflowing_noise_is_reported_without_warnings(tmp_path, cap
     assert json.loads(out.read_text(encoding="utf-8"))["mean_sq_dev"] == math.inf
 
 
+def test_resilience_moment_overflow_is_reported_as_inf(tmp_path, capsys):
+    # ||F|| stays finite near 1e100, but ||F||^4 overflows a Python float
+    doc = {"n": 9, "f": 2, "d": 3, "rule": "krum", "attack": {"variant": "silence"},
+           "sigma": 1.0, "grad_norm": 15.0, "trials": 200, "seed": 5}
+    config = tmp_path / "res.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["resilience", "--config", str(config), "--out", str(out),
+                 "--set", "sigma=1e100"]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert math.isfinite(report["moment_3"]) and report["moment_4"] == math.inf
+    assert report["condition_ii_holds"] is False
+
+
 def test_resilience_byte_identical_reruns(tmp_path):
     doc = {"n": 7, "f": 1, "d": 4, "rule": "krum",
            "attack": {"variant": "sign_flip", "kappa": 2.0},

@@ -5,7 +5,8 @@ rows scaled by 1e200, whose distances overflow to inf.  The oracles sum
 left to right, which numpy's pairwise summation matches only for d < 8;
 wider instances are held to the distance contract and to the selection
 with scores instead.  The block kernel that aggregates many instances
-at once is held to the per-instance selection, bit for bit.
+at once is held to the per-instance selection, bit for bit, and so is
+the block of honest draws to per-worker `estimate_gradient` calls.
 """
 
 import numpy as np
@@ -13,8 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from byzgrad import AggregationInput, krum_scores, krum_select, multi_krum_select, pairwise_sq_distances
+from byzgrad import (AggregationInput, GaussianEstimator, LeastSquares, MinibatchEstimator, Quadratic,
+                     SubstreamSource, estimate_gradient, krum_scores, krum_select, multi_krum_select,
+                     pairwise_sq_distances, substream)
 from byzgrad.aggregation import RuleSpec, _select, _select_block
+from byzgrad.problems import _estimate_rows
 
 from oracles import krum_scores_brute, krum_select_brute, max_valid_f, multi_krum_brute, sq_dist
 
@@ -147,3 +151,37 @@ def test_block_selection_is_the_per_instance_selection(block):
                 ids = () if sel is None else tuple(int(w) + 1 for w in sel[b])
                 assert ids == want.selected_ids, (rule, b)
                 assert out[b].tobytes() == want.output.tobytes(), (rule, b)
+
+
+@st.composite
+def honest_draws(draw):
+    """(cost, x, estimator, workers, seed, step): Gaussian or least-squares minibatch draws."""
+    workers = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(d) * 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        costfn = Quadratic(rng.standard_normal(d))
+        estimator = GaussianEstimator(draw(st.sampled_from([0.0, 0.5, 3.0, 1e200])))
+    else:
+        rows = draw(st.integers(1, 50))
+        scale = draw(st.sampled_from([1.0, 1e150]))
+        costfn = LeastSquares(scale * rng.standard_normal((rows, d)), scale * rng.standard_normal(rows))
+        estimator = MinibatchEstimator(draw(st.integers(1, 40)))
+    return costfn, x, estimator, workers, draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 10**6))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(honest_draws())
+def test_block_of_honest_draws_is_the_per_worker_draws(case):
+    costfn, x, estimator, workers, seed, step = case
+    source = SubstreamSource(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [estimate_gradient(costfn, x, estimator, substream(seed, wid, step))
+                for wid in range(1, workers + 1)]
+        # resets of one source, each taken only when its row is drawn
+        block = _estimate_rows(costfn, x, estimator,
+                               (source.generator(wid, step) for wid in range(1, workers + 1)), workers)
+    assert block.shape == (workers, x.size)
+    for row, vec in zip(block, want):
+        assert row.tobytes() == vec.tobytes()

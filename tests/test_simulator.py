@@ -1,9 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 
-from byzgrad import (AttackSpec, ConfigError, ExperimentConfig, GaussianEstimator,
-                     InvalidInput, Quadratic, RoundState, RuleSpec, SubstreamSource,
-                     estimate_gradient, run_experiment, run_round, substream)
+from byzgrad import (AttackSpec, ConfigError, CosineBowl, ExperimentConfig, GaussianEstimator,
+                     InvalidInput, LeastSquares, MinibatchEstimator, Quadratic, RoundState,
+                     RuleSpec, SubstreamSource, estimate_gradient, run_experiment, run_round,
+                     substream)
+
+from oracles import run_experiment_per_worker
 
 
 def base_config(**overrides):
@@ -167,3 +172,68 @@ def test_substream_source_matches_substream():
         a = source.generator(lane, step).standard_normal(8)
         b = substream(987654321, lane, step).standard_normal(8)
         assert np.array_equal(a, b)
+
+
+ORACLE_RULES = {
+    "average": RuleSpec("average"),
+    "linear": RuleSpec("linear", weights=(0.3, -0.1, 0.2, 0.05, 0.15, 0.1, 0.1, 0.25, -0.05)),
+    "medoid": RuleSpec("medoid"),
+    "krum": RuleSpec("krum"),
+    "multi_krum": RuleSpec("multi_krum", m=2),
+}
+ORACLE_ATTACKS = ("sign_flip", "silence", "gaussian_noise", "collusion_medoid", "omniscient_linear")
+
+
+def oracle_attack(variant, d):
+    direction = np.zeros(d)
+    direction[-1] = 1.0
+    return {
+        "sign_flip": AttackSpec("sign_flip", kappa=3.0),
+        "silence": AttackSpec("silence"),
+        "gaussian_noise": AttackSpec("gaussian_noise", center=np.full(d, 0.5), spread=2.0),
+        "collusion_medoid": AttackSpec("collusion_medoid", remote_magnitude=40.0,
+                                       direction=direction),
+        "omniscient_linear": AttackSpec("omniscient_linear", target=np.full(d, -7.0)),
+    }[variant]
+
+
+def oracle_cases(estimator, attack, d):
+    """(cost, estimator, x0, byzantine_ids) for one dimension: default and custom ids."""
+    rng = np.random.default_rng(d)
+    f = 1 if attack == "omniscient_linear" else 2
+    custom = (4,) if f == 1 else (2, 7)
+    if estimator == "gaussian":
+        cases = [(Quadratic(rng.standard_normal(d)), GaussianEstimator(0.7)),
+                 (CosineBowl(0.1, d), GaussianEstimator(0.3)),
+                 (Quadratic(np.zeros(d)), GaussianEstimator(1e200))]
+    else:
+        design = rng.standard_normal((12, d))
+        cases = [(LeastSquares(design, design @ rng.standard_normal(d)), MinibatchEstimator(b))
+                 for b in (1, 5)]
+    x0 = 2.0 * rng.standard_normal(d)
+    return [(costfn, est, x0, ids) for costfn, est in cases for ids in (None, custom)]
+
+
+def record_bits(record):
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in record)
+
+
+@pytest.mark.parametrize("estimator", ["gaussian", "minibatch"])
+@pytest.mark.parametrize("attack", ORACLE_ATTACKS)
+@pytest.mark.parametrize("rule", ORACLE_RULES)
+def test_rounds_match_the_per_worker_oracle_bit_for_bit(rule, attack, estimator):
+    for d in (1, 3, 10, 17):
+        for costfn, est, x0, ids in oracle_cases(estimator, attack, d):
+            config = ExperimentConfig(
+                n=9, f=len(ids) if ids else 1 if attack == "omniscient_linear" else 2,
+                rule=ORACLE_RULES[rule], cost=costfn, estimator=est,
+                attack=oracle_attack(attack, d), gamma0=0.2, p=0.8, rounds=4,
+                master_seed=1000 + d, x0=x0, byzantine_ids=ids)
+            trace = run_experiment(config)
+            records, final_x, diverged = run_experiment_per_worker(config)
+            got = [record_bits((r.t, r.cost, r.grad_norm, r.gamma, r.selected_ids,
+                                r.byzantine_selected, r.agg_to_grad_dist, r.x_norm))
+                   for r in trace.records]
+            assert got == [record_bits(r) for r in records], (d, costfn.variant, est, ids)
+            assert trace.final_x.tobytes() == final_x.tobytes()
+            assert trace.diverged == diverged
