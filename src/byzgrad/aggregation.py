@@ -16,6 +16,10 @@ Determinism rules used throughout (and relied on by the tests):
   with NaN distances ranked after every number,
 * score ties are resolved in favour of the smallest worker id, and a
   NaN score ranks as +inf.
+
+One selection kernel, written over leading batch axes, serves a single
+instance and a block of instances alike, so a block gives each
+instance's selection bit for bit.
 """
 
 from __future__ import annotations
@@ -225,19 +229,22 @@ _TILE_ELEMENTS = 1 << 15
 def _pairwise_sq_dists_block(Xb: np.ndarray) -> np.ndarray:
     """(B, n, d) instances -> (B, n, n) squared distances, instance by instance."""
     B, n, d = Xb.shape
-    out = np.zeros((B, n, n))
     # a tile spans as many rows as fit beside all n columns (at least one),
-    # then as many columns as fit; tiles cover the upper triangle
+    # then as many columns as fit.  An entry j < i that a tile fills comes
+    # from X[i] - X[j], the exact negation: the same bits as its mirror
     rows = max(1, _TILE_ELEMENTS // (B * n * d))
-    cols = max(1, _TILE_ELEMENTS // (B * rows * d))
-    for i0 in range(0, n - 1, rows):
-        for j0 in range(i0, n, cols):
-            tile = Xb[:, None, j0:j0 + cols] - Xb[:, i0:i0 + rows, None]  # X[j] - X[i]
-            np.multiply(tile, tile, out=tile)
-            np.add.reduce(tile, axis=3, out=out[:, i0:i0 + rows, j0:j0 + cols])
-    # tiles that straddle the diagonal also filled entries j < i, from
-    # X[i] - X[j], the exact negation: the same bits as their mirror
-    if rows < n or cols < n:
+    if rows >= n:  # one tile
+        tile = Xb[:, None] - Xb[:, :, None]  # X[j] - X[i]
+        np.multiply(tile, tile, out=tile)
+        out = np.add.reduce(tile, axis=3)
+    else:  # tiles over the upper triangle
+        out = np.zeros((B, n, n))
+        cols = max(1, _TILE_ELEMENTS // (B * rows * d))
+        for i0 in range(0, n - 1, rows):
+            for j0 in range(i0, n, cols):
+                tile = Xb[:, None, j0:j0 + cols] - Xb[:, i0:i0 + rows, None]
+                np.multiply(tile, tile, out=tile)
+                np.add.reduce(tile, axis=3, out=out[:, i0:i0 + rows, j0:j0 + cols])
         # mirror the rest; an entry j < i holds its mirror or the +0.0 it
         # started at, and no squared distance is below +0.0
         out = np.maximum(out, out.swapaxes(1, 2))
@@ -250,113 +257,100 @@ def _pairwise_sq_dists_raw(X: np.ndarray) -> np.ndarray:
 
 
 def _subset_krum_scores(dist, active, f, with_neighbors):
-    """Krum scores of the rows in `active`, an ascending list, and their neighbour rows.
+    """Krum scores of the (..., r) ascending `active` rows of (..., n, n) `dist`, and their neighbour rows.
 
-    Each row ranks the other active rows by ascending (distance, row),
-    NaN last, and sums its first len(active) - f - 2 distances left to
-    right.  The diagonal is set to -inf, below any squared distance, so
-    a row always ranks itself first and is dropped.  With
-    `with_neighbors`, a stable argsort ranks the rows and the
-    (len(active), k) array of neighbour rows is returned; without it, a
-    value-only sort sums the same sequence (equal distances are equal
-    bits) and None stands for the neighbour rows.
+    Rows are numbered as in `dist.reshape(-1, n)`: instance b's row i is
+    b * n + i.  Each row ranks the other active rows of its instance by
+    ascending (distance, row), NaN last, and sums its first r - f - 2
+    distances left to right.  The diagonal is set to -inf (in `dist`
+    itself when every row is active), so a row ranks itself first and is
+    dropped.  With `with_neighbors` (one instance only), a stable argsort
+    ranks the rows and their (r, r - f - 2) neighbour rows are returned;
+    without it, a value-only sort sums the same sequence (equal distances
+    are equal bits) and None stands for the neighbour rows.
     """
-    ids = np.asarray(active, dtype=np.intp)
-    k = len(ids) - f - 2
-    sub = dist.copy() if len(ids) == len(dist) else dist[np.ix_(ids, ids)]
-    np.fill_diagonal(sub, -np.inf)
+    n = dist.shape[-1]
+    r = active.shape[-1]
+    k = r - f - 2
+    sub = dist if r == n else dist.reshape(-1, n)[active[..., :, None], active[..., None, :] % n]
+    sub.reshape(sub.shape[:-2] + (r * r,))[..., ::r + 1] = -np.inf
     if not with_neighbors:
-        return np.cumsum(np.sort(sub, axis=1)[:, 1:k + 1], axis=1)[:, -1], None
-    order = np.argsort(sub, axis=1, kind="stable")[:, 1:k + 1]
-    scores = np.cumsum(np.take_along_axis(sub, order, axis=1), axis=1)[:, -1]
-    return scores, ids[order]
+        return np.add.accumulate(np.sort(sub)[..., 1:k + 1], axis=-1)[..., -1], None
+    order = np.argsort(sub, kind="stable")[..., 1:k + 1]
+    scores = np.add.accumulate(np.take_along_axis(sub, order, -1), axis=-1)[..., -1]
+    return scores, active[order]
 
 
-def _argmin(scores) -> int:
-    # NaN scores (possible only with non-finite proposals) never win
-    # against finite ones; ties go to the smallest position.
-    return int(np.argmin(np.where(np.isnan(scores), np.inf, scores)))
+def _argmin(scores):
+    # along the last axis, kept with length 1: NaN scores (possible only with
+    # non-finite proposals) rank as +inf, ties go to the smallest position
+    return np.fmin(scores, np.inf).argmin(axis=-1, keepdims=True)
 
 
 def _to_krum_scores(active, scores, neighbors) -> tuple[KrumScore, ...]:
     return tuple(
         KrumScore(worker_id=i + 1, score=score, neighbor_ids=tuple(rows))
-        for i, score, rows in zip(active, scores.tolist(), (neighbors + 1).tolist()))
+        for i, score, rows in zip(active.tolist(), scores.tolist(), (neighbors + 1).tolist()))
+
+
+def _selection(rule: RuleSpec, X: np.ndarray, f: int, with_scores: bool):
+    """Aggregate each instance of X, (..., n, d), without input validation.
+
+    Returns the selected rows of `X.reshape(-1, d)`, (..., m) in selection
+    order (None for average and linear), the (..., d) outputs, and the
+    first-iteration KrumScores of a single instance `with_scores` (else
+    ()).  Every winner is picked by `_argmin`.
+    """
+    batch, (n, d) = X.shape[:-2], X.shape[-2:]
+    if rule.kind == "average":
+        return None, X.mean(axis=-2), ()
+    if rule.kind == "linear":
+        out = np.zeros(batch + (d,))
+        for i, w in enumerate(rule.weights):
+            out += w * X[..., i, :]
+        return None, out, ()
+    # a single instance keeps the 2-D entry point, which bench/tracer.py counts
+    dist = _pairwise_sq_dists_block(X) if batch else _pairwise_sq_dists_raw(X)
+    active = np.arange(math.prod(batch) * n).reshape(batch + (n,))
+    first = ()
+    if rule.kind == "medoid":
+        # one pick by the summed distance to all rows: position p is row active[..., 0] + p
+        rows = active[..., :1] + _argmin(np.add.reduce(dist, axis=-1))
+    else:
+        # krum is multi-Krum with m = 1; each pick leaves its instance's active rows
+        rows = np.empty(batch + (rule.m or 1,), dtype=np.intp)
+        for t in range(rows.shape[-1]):
+            audit = with_scores and t == 0  # only the first iteration is reported
+            scores, neighbors = _subset_krum_scores(dist, active, f, audit)
+            if audit:
+                first = _to_krum_scores(active, scores, neighbors)
+            pick = np.arange(active.shape[-1]) == _argmin(scores)
+            rows[..., t] = active[pick]
+            if t + 1 < rows.shape[-1]:
+                active = active[~pick].reshape(batch + (-1,))
+    flat = X.reshape(-1, d)
+    # a lone winner is copied: the mean of one row would turn -0.0 into +0.0
+    out = flat[rows[..., 0]] if rows.shape[-1] == 1 else flat[rows].mean(axis=-2)
+    return rows, out, first
 
 
 def _select(rule: RuleSpec, X: np.ndarray, f: int, with_scores: bool = True) -> SelectionResult:
-    """Aggregate the rows of X without input validation (internal).
+    """Aggregate the rows of one n x d instance X without input validation (internal).
 
     `with_scores=False` skips building the KrumScore audit objects; the
     selection itself is unchanged.
     """
-    if rule.kind == "average":
-        return SelectionResult((), X.mean(axis=0))
-    if rule.kind == "linear":
-        out = np.zeros(X.shape[1])
-        for i in range(X.shape[0]):
-            out += rule.weights[i] * X[i]
-        return SelectionResult((), out)
-    dist = _pairwise_sq_dists_raw(X)
-    if rule.kind == "medoid":
-        w = _argmin(dist.sum(axis=1))
-        return SelectionResult((w + 1,), X[w].copy())
-    # krum is multi-Krum with m = 1
-    active = list(range(X.shape[0]))
-    winners, first = [], ()
-    for _ in range(rule.m or 1):
-        audit = with_scores and not winners  # only the first iteration is reported
-        scores, neighbors = _subset_krum_scores(dist, active, f, audit)
-        if audit:
-            first = _to_krum_scores(active, scores, neighbors)
-        winners.append(active.pop(_argmin(scores)))
-    # a lone winner is copied: the mean of one row would turn -0.0 into +0.0
-    out = X[winners[0]].copy() if len(winners) == 1 else X[winners].mean(axis=0)
-    return SelectionResult(tuple(w + 1 for w in winners), out, first)
-
-
-def _argmin_block(scores, lost):
-    # per instance, the smallest row among those not lost whose score (NaN
-    # as +inf) is the minimum; a lost row may tie at +inf but never wins
-    key = np.where(np.isnan(scores) | lost, np.inf, scores)
-    return ((key == key.min(axis=1, keepdims=True)) & ~lost).argmax(axis=1)
+    rows, out, first = _selection(rule, X, f, with_scores)
+    return SelectionResult(() if rows is None else tuple(w + 1 for w in rows.tolist()), out, first)
 
 
 def _select_block(rule: RuleSpec, Xb: np.ndarray, f: int):
-    """Aggregate each instance of a (B, n, d) block as `_select(..., with_scores=False)` does.
+    """(B, m) selected rows (None for average and linear) and (B, d) outputs of a (B, n, d) block.
 
-    Returns the selected rows, (B, m) in selection order or None for
-    average and linear, and the (B, d) outputs, bit for bit.  Krum is
-    multi-Krum with m = 1.  A winner's column becomes NaN, which sorts
-    after every distance (real NaNs included), so each row sums the same
-    prefix as over the per-instance active rows.
+    Each instance gets `_select(..., with_scores=False)`'s selection, bit for bit.
     """
-    B, n, d = Xb.shape
-    if rule.kind == "average":
-        return None, Xb.mean(axis=1)
-    if rule.kind == "linear":
-        out = np.zeros((B, d))
-        for i, w in enumerate(rule.weights):
-            out += w * Xb[:, i]
-        return None, out
-    batch = np.arange(B)
-    dist = _pairwise_sq_dists_block(Xb)
-    won = np.zeros((B, n), dtype=bool)
-    if rule.kind == "medoid":
-        sel = _argmin_block(dist.sum(axis=2), won)[:, None]
-        return sel, Xb[batch, sel[:, 0]]
-    diagonal = np.arange(n)
-    dist[:, diagonal, diagonal] = -np.inf
-    sel = np.empty((B, rule.m or 1), dtype=np.intp)
-    for t in range(sel.shape[1]):
-        k = n - t - f - 2
-        scores = np.cumsum(np.sort(dist, axis=2)[:, :, 1:k + 1], axis=2)[:, :, -1]
-        sel[:, t] = w = _argmin_block(scores, won)
-        won[batch, w] = True
-        dist[batch, :, w] = np.nan
-    # a lone winner is copied: the mean of one row would turn -0.0 into +0.0
-    out = Xb[batch, sel[:, 0]] if sel.shape[1] == 1 else Xb[batch[:, None], sel].mean(axis=1)
-    return sel, out
+    rows, out, _ = _selection(rule, Xb, f, False)
+    return None if rows is None else rows % Xb.shape[1], out
 
 
 # ---------------------------------------------------------------------------

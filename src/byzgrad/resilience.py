@@ -124,7 +124,8 @@ def _add_rows(carry: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _sample_se(s1: float, s2: float, trials: int) -> float:
-    var = max(0.0, (s2 - s1 * s1 / trials) / (trials - 1))
+    # clamps rounding below 0.0 but keeps the NaN of overflowed sums, as max(0.0, nan) would not
+    var = np.maximum(0.0, (s2 - s1 * s1 / trials) / (trials - 1))
     return math.sqrt(var / trials)
 
 
@@ -145,9 +146,12 @@ def estimate_resilience(rule: RuleSpec, n: int, f: int, d: int, g, sigma: float,
     numpy's overflow and invalid-value warnings are off: such a sum reads inf or NaN.
     """
     g = as_vector(g)
-    grad_norm = float(np.linalg.norm(g))
+    with np.errstate(over="ignore"):
+        grad_norm = float(np.linalg.norm(g))
     if grad_norm == 0.0:
         raise InvalidInput("g must be non-zero: condition (i) compares against ||g||^2 > 0")
+    if grad_norm == math.inf:
+        raise InvalidInput("||g|| overflows: the squared norm of g exceeds the float64 range")
     if not is_int(trials) or trials < 2:
         raise InvalidInput(f"trials must be an integer >= 2: got {trials!r}")
     if not 0 <= f < n:

@@ -77,6 +77,8 @@ def test_traced_resilience_call_counts_every_trial():
     assert metrics["resilience.trials"] == trials
     assert metrics["adversary.calls"] == trials
     assert metrics["streams.resets"] == trials
+    # the trial blocks are scored through the hooked scoring kernel
+    assert tracer.totals["aggregation.scoring"]["count"] > 0
 
 
 def test_traced_simulator_runs_count_every_round_and_reset():

@@ -253,6 +253,25 @@ def test_resilience_moment_overflow_is_reported_as_inf(tmp_path, capsys):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert math.isfinite(report["moment_3"]) and report["moment_4"] == math.inf
     assert report["condition_ii_holds"] is False
+    # the sums of squares behind these overflowed: their spread is unknown, not zero
+    for name in ("se_moment_2", "se_moment_3", "se_moment_4", "se_mean_sq_dev"):
+        assert report[name] != 0.0, name
+
+
+def test_resilience_overflowing_gradient_norm_is_an_error_line(tmp_path, capsys):
+    # 1e300 is a finite grad_norm, but ||g||^2 overflows while the norm is taken
+    doc = {"n": 9, "f": 2, "d": 3, "rule": "krum", "attack": {"variant": "silence"},
+           "sigma": 1.0, "grad_norm": 15.0, "trials": 50, "seed": 5}
+    config = tmp_path / "res.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would end the run
+        assert main(["resilience", "--config", str(config), "--out", str(out),
+                     "--set", "grad_norm=1e300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ||g|| overflows") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_resilience_byte_identical_reruns(tmp_path):

@@ -7,6 +7,8 @@ wider instances are held to the distance contract and to the selection
 with scores instead.  The block kernel that aggregates many instances
 at once is held to the per-instance selection, bit for bit, and so is
 the block of honest draws to per-worker `estimate_gradient` calls.
+Relabelling the workers permutes the Krum scores bit for bit, and
+scaling every proposal by a power of two scales them exactly.
 """
 
 import numpy as np
@@ -27,12 +29,20 @@ FLOATS = st.floats(-1e100, 1e100, allow_nan=False)
 
 
 @st.composite
-def krum_instances(draw, max_d=4):
+def krum_instances(draw, max_d=4, elements=None):
+    """(X, f, m): n = 4-40 proposals, a valid f and a valid multi-Krum m (None if there is none).
+
+    Without `elements`, entries are tied small integers or arbitrary
+    floats, and some rows are scaled by 1e200.
+    """
     n = draw(st.integers(4, 40))
     f = draw(st.integers(0, max_valid_f(n)))
     d = draw(st.integers(1, max_d))
-    X = draw(arrays(np.float64, (n, d), elements=draw(st.sampled_from([SMALL_INTEGERS, FLOATS]))))
-    X[draw(st.lists(st.integers(0, n - 1), max_size=n))] *= 1e200
+    if elements is None:
+        X = draw(arrays(np.float64, (n, d), elements=draw(st.sampled_from([SMALL_INTEGERS, FLOATS]))))
+        X[draw(st.lists(st.integers(0, n - 1), max_size=n))] *= 1e200
+    else:
+        X = draw(arrays(np.float64, (n, d), elements=elements))
     m = draw(st.integers(1, n - 2 * f - 3)) if n - 2 * f - 2 > 1 else None
     return X, f, m
 
@@ -151,6 +161,45 @@ def test_block_selection_is_the_per_instance_selection(block):
                 ids = () if sel is None else tuple(int(w) + 1 for w in sel[b])
                 assert ids == want.selected_ids, (rule, b)
                 assert out[b].tobytes() == want.output.tobytes(), (rule, b)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(krum_instances(max_d=9), st.data())
+def test_relabelling_workers_permutes_the_krum_scores(instance, data):
+    X, f, _ = instance
+    n = len(X)
+    inp = AggregationInput.from_vectors(X, f)
+    # worker i + 1 becomes worker label[i] + 1, and the entries arrive shuffled
+    label = data.draw(st.permutations(range(n)))
+    entries = [(label[i] + 1, X[i]) for i in range(n)]
+    relabelled = AggregationInput(tuple(data.draw(st.permutations(entries))), f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base, moved = krum_select(inp), krum_select(relabelled)
+    moved_scores = {ks.worker_id: ks.score for ks in moved.scores}
+    for ks in base.scores:
+        assert moved_scores[label[ks.worker_id - 1] + 1].hex() == ks.score.hex(), ks.worker_id
+    scores = [ks.score for ks in base.scores]
+    if scores.count(min(scores)) == 1:
+        assert moved.output.tobytes() == base.output.tobytes()
+
+
+# finite, normal and far from both ends of the range: every difference,
+# square and score stays normal after a scaling by 2^k with |k| < 20
+SCALABLE = st.one_of(SMALL_INTEGERS, st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(krum_instances(max_d=9, elements=SCALABLE), st.integers(-19, 19))
+def test_power_of_two_scaling_keeps_the_selection_and_scales_the_scores(instance, k):
+    X, f, m = instance
+    inp = AggregationInput.from_vectors(X, f)
+    scaled = AggregationInput.from_vectors(X * 2.0 ** k, f)
+    base, moved = krum_select(inp), krum_select(scaled)
+    assert moved.selected_ids == base.selected_ids
+    for ks, scaled_ks in zip(base.scores, moved.scores):
+        assert scaled_ks.score.hex() == (ks.score * 4.0 ** k).hex(), ks.worker_id
+    if m is not None:
+        assert multi_krum_select(scaled, m).selected_ids == multi_krum_select(inp, m).selected_ids
 
 
 @st.composite
